@@ -17,6 +17,10 @@ cargo run -p rased-lint --release --offline --locked -- --workspace --format=jso
     > lint-findings.json
 
 cargo build --workspace --release --offline --locked --all-targets
+# The benchmark package (rasedbench/, its own workspace) calls the index,
+# core and dashboard APIs directly; building and testing it here turns an
+# API break into a CI failure instead of a benchmark-pipeline failure.
+cargo test --release --offline --locked --manifest-path rasedbench/Cargo.toml
 cargo test --workspace -q --offline --locked
 
 # The HTTP serving-tier battery re-runs under an explicit wall-clock budget:

@@ -46,7 +46,8 @@ pub use system::{Rased, RasedConfig, RasedError};
 pub use rased_cube::{CubeSchema, DataCube, DimSelection};
 pub use rased_index::{
     marker_shard, shard_for, spatial_shard_for, CacheConfig, CacheStrategy, CubeCache,
-    LevelPlanner, MaintenanceReport, PlannerKind, ShardedIndex, SpatialBank, TemporalIndex,
+    LevelPlanner, MaintenanceReport, PlannerKind, Router, ShardSet, ShardedIndex, SpatialBank,
+    TemporalIndex,
 };
 pub use rased_osm_model as model;
 pub use rased_query::{

@@ -302,25 +302,15 @@ impl Rased {
         // have no bank directory — start one empty (blocks backfill as new
         // days publish).
         let spatial_dir = config.dir.join("spatial");
-        let bank = if spatial_dir.exists() {
-            SpatialBank::open(
-                &spatial_dir,
-                config.spatial.effective_shards(),
-                config.spatial.grid(),
-                config.schema,
-                config.io_model,
-                config.spatial.cache_blocks,
-            )?
-        } else {
-            SpatialBank::create(
-                &spatial_dir,
-                config.spatial.effective_shards(),
-                config.spatial.grid(),
-                config.schema,
-                config.io_model,
-                config.spatial.cache_blocks,
-            )?
-        };
+        let open_bank = if spatial_dir.exists() { SpatialBank::open } else { SpatialBank::create };
+        let bank = open_bank(
+            &spatial_dir,
+            config.spatial.effective_shards(),
+            config.spatial.grid(),
+            config.schema,
+            config.io_model,
+            config.spatial.cache_blocks,
+        )?;
         let system = Self::assemble(config, index, warehouse, bank);
         system.recount_network_sizes()?;
         system.index.warm_cache()?;
@@ -358,6 +348,16 @@ impl Rased {
     /// The cube index (a country-sharded store; one shard by default).
     pub fn index(&self) -> &ShardedIndex {
         &self.index
+    }
+
+    /// Days committed in the cube index that carry no bank day marker.
+    /// Viewport queries serve such days by warehouse-scan fallback
+    /// forever: a bank publish lost after the cube commit, an oversize
+    /// day, or a store older than the bank. Read from one pinned snapshot
+    /// of each hierarchy's stores.
+    pub fn unmarked_days(&self) -> usize {
+        let banked = self.bank.set().marked_days();
+        self.index.set().marked_days().difference(&banked).count()
     }
 
     /// The sample warehouse.

@@ -1,11 +1,11 @@
 //! The nonblocking serving front: accept/read/write event loop.
 //!
-//! The previous serving tier parked one blocked pool thread per in-flight
-//! connection — a slow reader or a slowloris writer pinned a worker for
-//! its whole lifetime, so the worker pool bounded *connections*, not
-//! *work*. This loop inverts that: a single thread owns the listener and
-//! every connection in nonblocking mode, and a connection is just a few
-//! buffers and a state tag:
+//! A thread-per-connection tier parks one blocked pool thread per
+//! in-flight connection — a slow reader or a slowloris writer pins a
+//! worker for its whole lifetime, so the worker pool bounds *connections*,
+//! not *work*. This loop inverts that: a single thread owns the listener
+//! and every connection in nonblocking mode, and a connection is just a
+//! few buffers and a state tag:
 //!
 //! ```text
 //!            bytes in                complete request
@@ -19,9 +19,9 @@
 //! * **Reading** — request bytes accumulate in `inbuf`. A cheap
 //!   completeness scan ([`ready_to_parse`]) decides when a full request
 //!   (or a provable limit violation) is buffered; only then does the
-//!   buffer go through the *same* [`read_request`] parser the blocking
-//!   path uses, over a `Cursor`, so parse semantics — limits, tolerated
-//!   stray CRLFs, typed errors — are byte-identical by construction.
+//!   buffer go through [`read_request`] over a `Cursor`, so parse
+//!   semantics — limits, tolerated stray CRLFs, typed errors — are the
+//!   parser's own, byte for byte.
 //! * **Executing** — the parsed request rides a bounded bridge to the
 //!   worker pool, which does only real work: routing, cube queries, cold
 //!   renders (coalesced and cached through
@@ -36,7 +36,7 @@
 //! bounded by the same number); beyond that, new connections get an
 //! immediate `503` + `Retry-After`. Idle or stalled readers are answered
 //! `408` (silently closed when no request bytes arrived) after
-//! `read_timeout`, exactly like the blocking path's socket timeouts.
+//! `read_timeout`.
 //!
 //! Shutdown: [`crate::StopHandle::stop`] sets the flag and nudges the
 //! listener; the loop stops accepting, lets every open connection finish
@@ -52,6 +52,7 @@ use crate::http::{read_request, write_response, Limits, Request};
 use crate::metrics::Endpoint;
 use crate::respcache::{CachedResponse, RespKey};
 use crate::server::DashboardServer;
+use rased_core::{Router, ShardSet};
 use rased_storage::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -263,7 +264,7 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
 
         // 1. Accept everything pending. When stopped, accepted sockets
         //    (the shutdown nudge, or clients racing it) are dropped
-        //    uncounted, exactly like the blocking acceptor did.
+        //    uncounted.
         loop {
             match server.listener.accept() {
                 Ok((stream, _)) => {
@@ -388,8 +389,8 @@ fn service<'a>(
     }
 }
 
-/// Apply read/write deadlines — the same 408-vs-silent-close semantics as
-/// the blocking path's socket timeouts.
+/// Apply read/write deadlines: `408` for a stalled request, a silent close
+/// for an idle keep-alive connection or a client that stopped draining.
 fn check_deadline(server: &DashboardServer, conn: &mut Conn) -> bool {
     match conn.state {
         ConnState::Reading if conn.last_activity.elapsed() > server.config.read_timeout => {
@@ -415,8 +416,8 @@ fn check_deadline(server: &DashboardServer, conn: &mut Conn) -> bool {
             true
         }
         ConnState::Writing if conn.last_activity.elapsed() > server.config.write_timeout => {
-            // A client that stopped draining its response: drop it (the
-            // blocking path's write timeout closed without a counter too).
+            // A client that stopped draining its response: drop it,
+            // uncounted.
             conn.dead = true;
             true
         }
@@ -464,8 +465,8 @@ fn read_step<'a>(
 
 /// Run the buffered bytes through the real parser and dispatch the
 /// request. Only called when [`ready_to_parse`] says the parser cannot
-/// come up short (or the client half-closed, which the parser maps to the
-/// same errors the blocking path produced on mid-request EOF).
+/// come up short (or the client half-closed, which the parser maps to its
+/// mid-request-EOF errors).
 fn parse_and_dispatch<'a>(
     server: &'a DashboardServer,
     bridge: &Bridge<'a>,
@@ -483,7 +484,7 @@ fn parse_and_dispatch<'a>(
         }
         Err(e) => {
             // Framing is unknown after a parse error: answer (when
-            // possible) and close, mirroring the blocking path.
+            // possible) and close.
             match e.status() {
                 Some(status) => {
                     server.metrics.record_request(Endpoint::Other, status, Duration::ZERO);
@@ -575,85 +576,53 @@ fn dispatch<'a>(
 }
 
 /// The composite stamp for a request: the `(shard, epoch)` pairs its
-/// render will read. Over a sharded store, a query filtered to resolvable
-/// countries stamps only the owning shards — mirroring the scatter-gather
-/// planner's predicate pushdown — so the cached tile survives publishes on
-/// every other shard. A viewport request (`bbox=`/`viewport=`) reads the
-/// *spatial* hierarchy instead and stamps the bands owning its cover (see
-/// [`spatial_stamp`]). Anything else (no filter, unresolvable name, single
-/// shard) stamps the full epoch vector, which on a 1-shard store is
-/// exactly the old scalar `[(0, epoch)]` key.
+/// render will read. The request is routed on the hierarchy it reads — a
+/// viewport (`bbox=`/`viewport=`) reads the spatial bank, anything else
+/// the cube index — and stamped with the owning shards only, mirroring
+/// the engine's routing, so the cached tile survives publishes on every
+/// other shard:
+///
+/// * a country-filtered query stamps the shards owning those countries;
+/// * a viewport stamps the bands owning its cover cells — interior *and*
+///   boundary, since boundary cells are answered by warehouse scans whose
+///   rows change exactly when a publish lands records in those cells —
+///   in the [`crate::respcache::SPATIAL_STAMP_BASE`] namespace. No cube
+///   shard appears: a cube-only publish keeps every viewport tile.
+///
+/// A request that routes nowhere narrower (no filter, an unresolvable
+/// country, an unparseable box) stamps the hierarchy's full epoch vector
+/// — always a *safe* key; on a 1-shard index it is exactly `[(0, epoch)]`.
 fn cache_stamp(server: &DashboardServer, query: &str) -> Vec<(u16, u64)> {
     let params = crate::parse_query_string(query);
     let find = |k: &str| params.iter().find(|(pk, _)| pk == k).map(|(_, v)| v.as_str());
-    if let Some(raw) = find("bbox").or_else(|| find("viewport")) {
-        return spatial_stamp(server, raw);
-    }
-    let index = server.system.index();
-    let epochs = index.epochs();
-    let n = epochs.len();
-    if n > 1 {
-        if let Some(owned) = routed_shards(server, &params, n) {
-            return owned
-                .into_iter()
-                .filter_map(|s| epochs.get(s).map(|&e| (s as u16, e)))
-                .collect();
+    let system = &server.system;
+    match find("bbox").or_else(|| find("viewport")) {
+        Some(raw) => {
+            let bank = system.spatial_bank();
+            let cells = crate::api::parse_bbox(raw).ok().map(|bbox| {
+                let cover = bank.grid().cover(&bbox);
+                cover.interior.into_iter().chain(cover.boundary).collect()
+            });
+            stamp(bank.set(), crate::respcache::SPATIAL_STAMP_BASE, cells)
+        }
+        None => {
+            let countries = find("countries").and_then(|list| {
+                list.split(',').map(|name| system.countries().resolve(name)).collect()
+            });
+            stamp(system.index().set(), 0, countries)
         }
     }
-    epochs.iter().enumerate().map(|(s, &e)| (s as u16, e)).collect()
 }
 
-/// The stamp for a viewport render: the spatial bands owning the
-/// viewport's cover cells (interior *and* boundary — boundary cells are
-/// answered by warehouse scans, whose rows change exactly when a publish
-/// lands records in those cells), each namespaced at
-/// [`crate::respcache::SPATIAL_STAMP_BASE`] and carrying the band's
-/// current publish epoch. The country cubes are never read on this path,
-/// so no temporal shard appears in the stamp — a cube-only publish keeps
-/// every viewport tile, and a bank publish in one region keeps every
-/// other region's tiles. An unparseable box stamps every band: the render
-/// will answer 400, which the cache refuses to store, so the stamp only
-/// has to be a *safe* lookup key, not a minimal one.
-fn spatial_stamp(server: &DashboardServer, raw: &str) -> Vec<(u16, u64)> {
-    let bank = server.system.spatial_bank();
-    let epochs = bank.epochs();
-    let pair = |band: usize| {
-        epochs.get(band).map(|&e| (crate::respcache::SPATIAL_STAMP_BASE | band as u16, e))
+/// `(base | shard, epoch)` for the shards of `set` owning `keys` (every
+/// shard when `keys` is `None`).
+fn stamp<R: Router>(set: &ShardSet<R>, base: u16, keys: Option<Vec<R::Key>>) -> Vec<(u16, u64)> {
+    let epochs = set.epochs();
+    let shards = match keys {
+        Some(keys) => set.route(keys),
+        None => (0..epochs.len()).collect(),
     };
-    let Ok(bbox) = crate::api::parse_bbox(raw) else {
-        return (0..epochs.len()).filter_map(pair).collect();
-    };
-    let cover = bank.grid().cover(&bbox);
-    let mut bands: Vec<usize> = cover
-        .interior
-        .iter()
-        .chain(cover.boundary.iter())
-        .map(|&cell| bank.shard_of(cell))
-        .collect();
-    bands.sort_unstable();
-    bands.dedup();
-    bands.into_iter().filter_map(pair).collect()
-}
-
-/// The index shards owned by the request's `countries` filter, sorted and
-/// deduplicated — `None` when the request has no such filter or names a
-/// country the registry can't resolve (the render will fan out or fail;
-/// either way the full stamp is the safe key).
-fn routed_shards(
-    server: &DashboardServer,
-    params: &[(String, String)],
-    n: usize,
-) -> Option<Vec<usize>> {
-    let list = params.iter().find(|(k, _)| k == "countries").map(|(_, v)| v.as_str())?;
-    let registry = server.system.countries();
-    let mut shards: Vec<usize> = Vec::new();
-    for name in list.split(',') {
-        let id = registry.resolve(name)?;
-        shards.push(rased_core::shard_for(id, n));
-    }
-    shards.sort_unstable();
-    shards.dedup();
-    Some(shards)
+    shards.into_iter().filter_map(|s| epochs.get(s).map(|&e| (base | s as u16, e))).collect()
 }
 
 fn write_step(conn: &mut Conn) {

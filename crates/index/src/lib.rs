@@ -15,18 +15,24 @@
 //! * [`CubeCache`] — the caching strategy (§VII-A): N memory slots split
 //!   across levels by the (α, β, γ, θ) ratios, preloaded with each level's
 //!   most recent cubes. A plain global-LRU mode exists for ablation.
-//! * [`ShardedIndex`] — N independent `TemporalIndex` instances partitioned
-//!   by country ([`shard_for`]), each with its own WAL, caches, and epoch
-//!   stream; the scatter-gather substrate for `rased-query`.
+//! * [`ShardSet`] — N independent `TemporalIndex` stores behind a
+//!   [`Router`], each with its own WAL, caches and epoch stream: the one
+//!   sharded epoch store, with one marker-last day commit and one
+//!   snapshot-pinning scheme ([`Pinned`]) under both hierarchies below.
+//! * [`ShardedIndex`] — the cube hierarchy: a `ShardSet` partitioned by
+//!   country ([`shard_for`]); the scatter-gather substrate for
+//!   `rased-query`.
 //! * [`SpatialBank`] — the spatial arm of the lattice: per-grid-cell
-//!   pre-aggregated sparse blocks ([`spatial_shard_for`] longitude bands)
-//!   keyed in the same catalogs via [`CubeKey::regional`], giving viewport
-//!   queries the same page-per-answer economics as temporal ones.
+//!   pre-aggregated sparse blocks in a `ShardSet` of longitude bands
+//!   ([`spatial_shard_for`]), keyed in the same catalogs via
+//!   [`CubeKey::regional`], giving viewport queries the same
+//!   page-per-answer economics as temporal ones.
 
 mod cache;
 mod planner;
 mod routing;
 mod shard;
+mod shardset;
 mod spatial;
 mod store;
 mod wal;
@@ -36,8 +42,9 @@ pub use planner::{
     BlockSource, CubeSource, LatticePlanner, LevelPlanner, PlannedBlock, PlannedCube, PlannerKind,
     QueryPlan, RegionPlan, ViewportPlan,
 };
-pub use routing::{marker_shard, shard_for, spatial_shard_for};
+pub use routing::{marker_shard, shard_for, spatial_shard_for, BandRouter, CountryRouter};
 pub use shard::ShardedIndex;
+pub use shardset::{Pin, Pinned, Router, ShardSet};
 pub use spatial::{SpatialBank, SpatialPublishReport, BLOCK_PAGE_BYTES};
 pub use store::{
     with_planner, CatalogVersion, CubeKey, FetchOutcome, IndexError, MaintenanceReport,

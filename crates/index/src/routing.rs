@@ -1,7 +1,7 @@
 //! Shard routing: the single home of every placement function.
 //!
 //! Three subsystems must agree, byte for byte, on where data lives — the
-//! ingest splitter ([`crate::ShardedIndex`]), the query router
+//! ingest splitter ([`crate::ShardSet`] under both hierarchies), the query router
 //! (`rased-query` predicate pushdown), and the dashboard's response-cache
 //! stamper (`rased-dashboard` event loop). A disagreement is silent
 //! corruption: a query scattered to the wrong shard returns zeros, and a
@@ -13,9 +13,12 @@
 //! in `lint.toml`): routing is pure arithmetic and takes no locks, so it
 //! can be called from any rank, including inside the dashboard event loop.
 
+use crate::shardset::Router;
+use crate::store::CubeKey;
 use rased_geo::CellId;
 use rased_osm_model::CountryId;
-use rased_temporal::Date;
+use rased_temporal::{Date, Period};
+use std::path::{Path, PathBuf};
 
 /// The shard owning `country`'s cells when the store is split `shards`
 /// ways. This is *the* assignment function: ingest splitting, query
@@ -41,6 +44,84 @@ pub fn spatial_shard_for(cell: CellId, cols: u32, shards: usize) -> usize {
     let shards = shards.max(1);
     let cols = cols.max(1) as usize;
     ((cell.col as usize).min(cols - 1) * shards) / cols
+}
+
+/// Region code of day markers in the spatial bank's registry store. The
+/// registry holds only markers, so the code just needs to be stable;
+/// `u32::MAX` also maps to no grid cell (cell codes are offset by one), so
+/// a marker key can never be mistaken for a block.
+const MARKER_REGION: u32 = u32::MAX;
+
+/// The cube hierarchy's router: countries to [`shard_for`] shards, each
+/// day's marker on its round-robin [`marker_shard`]. A single-shard store
+/// lives at the root itself (the pre-sharding layout); more shards nest
+/// under `shard-NNN`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CountryRouter;
+
+impl Router for CountryRouter {
+    type Key = CountryId;
+    const REGISTRY: bool = false;
+
+    fn shard(&self, key: CountryId, shards: usize) -> usize {
+        shard_for(key, shards)
+    }
+
+    fn marker(&self, day: Date, shards: usize) -> usize {
+        marker_shard(day, shards)
+    }
+
+    fn marker_key(&self, day: Date) -> CubeKey {
+        CubeKey::world(Period::Day(day))
+    }
+
+    fn dir(&self, root: &Path, shards: usize, slot: usize) -> PathBuf {
+        if shards <= 1 {
+            root.to_path_buf()
+        } else {
+            root.join(format!("shard-{slot:03}"))
+        }
+    }
+}
+
+/// The spatial hierarchy's router: grid cells to [`spatial_shard_for`]
+/// longitude bands of a grid `cols` columns wide, day markers in a
+/// `marker` registry store beside the `spatial-NNN` bands.
+#[derive(Debug, Clone, Copy)]
+pub struct BandRouter {
+    cols: u32,
+}
+
+impl BandRouter {
+    /// Bands over a grid `cols` columns wide.
+    pub fn new(cols: u32) -> BandRouter {
+        BandRouter { cols }
+    }
+}
+
+impl Router for BandRouter {
+    type Key = CellId;
+    const REGISTRY: bool = true;
+
+    fn shard(&self, key: CellId, shards: usize) -> usize {
+        spatial_shard_for(key, self.cols, shards)
+    }
+
+    fn marker(&self, _day: Date, shards: usize) -> usize {
+        shards
+    }
+
+    fn marker_key(&self, day: Date) -> CubeKey {
+        CubeKey::regional(Period::Day(day), MARKER_REGION)
+    }
+
+    fn dir(&self, root: &Path, shards: usize, slot: usize) -> PathBuf {
+        if slot >= shards {
+            root.join("marker")
+        } else {
+            root.join(format!("spatial-{slot:03}"))
+        }
+    }
 }
 
 #[cfg(test)]

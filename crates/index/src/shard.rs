@@ -1,33 +1,26 @@
-//! Country-sharded cube store: N independent [`TemporalIndex`] instances
-//! behind one facade.
+//! Country-sharded cube store: a [`ShardSet`] of [`TemporalIndex`]
+//! stores partitioned by country.
 //!
 //! RASED's unit of interest is the (country, road-type) pair, so the
 //! country dimension is the natural partitioning axis: every cube cell
 //! belongs to exactly one country (zone ids live in the same dimension),
 //! which makes the split *exact* — a cube sharded by country and merged
-//! back is bit-identical to the original. Each shard owns a full private
-//! stack (WAL, catalog, buffer pool, cube cache, epoch stream), so:
-//!
-//! * a publish on one shard bumps only that shard's epoch — response-cache
-//!   entries keyed by a composite epoch stamp stay valid for untouched
-//!   shards;
-//! * a torn WAL tail in one shard is truncated by that shard's own
-//!   recovery and never blocks the others from serving;
-//! * country-filtered queries route to the owning shards only (predicate
-//!   pushdown in `rased-query`), and unfiltered queries scatter across all
-//!   shards and merge partial aggregates deterministically.
-//!
-//! ## Day-commit protocol
+//! back is bit-identical to the original. The shards, their epochs, the
+//! publish hook, pinning and the marker-last day commit are the
+//! [`ShardSet`]'s; this layer adds only what is specific to dense cubes:
+//! splitting a day's cube by country, merge-reading periods back, and
+//! per-shard month rebuilds.
 //!
 //! A day's full cube is split into per-shard sub-cubes. Shards whose split
 //! is all-zero are skipped entirely (no WAL append, no epoch bump — this
-//! is what keeps invalidation scoped). One deterministic **marker shard**
-//! per day (round-robin by day ordinal, so zero-day bookkeeping spreads
-//! evenly) always commits, even when its split is empty, and commits
-//! *last*, carrying the durable row watermark. The global "is this day
-//! ingested?" question is therefore answered by the marker shard alone: if
-//! the process crashes mid-day, the marker commit is missing, resume
-//! re-applies the whole day, and the per-shard replays are idempotent.
+//! is what keeps invalidation scoped). The day's **marker shard**
+//! ([`crate::marker_shard`], round-robin by day ordinal so zero-day
+//! bookkeeping spreads evenly) always commits, even when its split is
+//! empty, and commits *last*, carrying the durable row watermark. The
+//! global "is this day ingested?" question is therefore answered by the
+//! marker shard alone: if the process crashes mid-day, the marker commit
+//! is missing, resume re-applies the whole day, and the per-shard replays
+//! are idempotent.
 //!
 //! Cross-shard visibility is *per-shard atomic, per-day eventually
 //! consistent*: a reader scattering during a day publish may see the day
@@ -36,26 +29,16 @@
 //! country's cells live in one shard.
 
 use crate::cache::CacheConfig;
-use crate::routing::{marker_shard, shard_for};
+use crate::routing::{shard_for, CountryRouter};
+use crate::shardset::{Router, ShardSet};
 use crate::store::{IndexError, MaintenanceReport, TemporalIndex};
 use rased_cube::{CubeSchema, DataCube};
 use rased_osm_model::CountryId;
 use rased_storage::IoCostModel;
 use rased_temporal::{Date, Period};
 use std::collections::{BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-
-/// Directory of shard `i` under `dir`. A single-shard store lives at `dir`
-/// itself so the on-disk layout (and WAL path) stays bit-compatible with a
-/// plain [`TemporalIndex`]; multi-shard stores use `dir/shard-NNN`.
-fn shard_dir(dir: &Path, shards: usize, i: usize) -> PathBuf {
-    if shards <= 1 {
-        dir.to_path_buf()
-    } else {
-        dir.join(format!("shard-{i:03}"))
-    }
-}
 
 /// Split `cube` into per-shard sub-cubes by the country dimension. Shards
 /// with no non-zero cell get `None` — the caller uses that to skip the
@@ -89,19 +72,13 @@ fn merge_report(into: &mut MaintenanceReport, r: MaintenanceReport) {
     for (a, b) in into.ops_by_level.iter_mut().zip(r.ops_by_level.iter()) {
         *a += *b;
     }
-    into.io.reads += r.io.reads;
-    into.io.writes += r.io.writes;
-    into.io.bytes_read += r.io.bytes_read;
-    into.io.bytes_written += r.io.bytes_written;
-    into.io.modeled = into.io.modeled.saturating_add(r.io.modeled);
+    into.io += r.io;
 }
 
-/// N independent per-country-partition [`TemporalIndex`] stores behind the
-/// single-store ingest/maintenance API. See the module docs for the
-/// sharding model; see `rased-query` for scatter-gather execution over
-/// [`ShardedIndex::stores`].
+/// The country-sharded cube store. See the module docs; see `rased-query`
+/// for scatter-gather execution over [`ShardedIndex::stores`].
 pub struct ShardedIndex {
-    shards: Vec<TemporalIndex>,
+    set: ShardSet<CountryRouter>,
     schema: CubeSchema,
     levels: u8,
 }
@@ -151,27 +128,30 @@ impl ShardedIndex {
             slots: if cache.slots == 0 { 0 } else { (cache.slots / n).max(1) },
             strategy: cache.strategy,
         };
-        let mut stores = Vec::with_capacity(n);
-        for i in 0..n {
-            stores.push(mk(&shard_dir(dir, n, i), schema, levels, per_shard_cache, model)?);
-        }
-        Ok(ShardedIndex { shards: stores, schema, levels })
+        let open_shard = |d: &Path| mk(d, schema, levels, per_shard_cache, model);
+        let set = ShardSet::build(dir, n, CountryRouter, open_shard)?;
+        Ok(ShardedIndex { set, schema, levels })
+    }
+
+    /// The underlying shard set (routing, epochs, pinning).
+    pub fn set(&self) -> &ShardSet<CountryRouter> {
+        &self.set
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.set.shard_count()
     }
 
     /// All shard stores, in shard order — the scatter-gather executor
     /// plans each independently against its own catalog snapshot.
     pub fn stores(&self) -> &[TemporalIndex] {
-        &self.shards
+        self.set.stores()
     }
 
     /// Shard `i`'s store.
     pub fn shard(&self, i: usize) -> Option<&TemporalIndex> {
-        self.shards.get(i)
+        self.set.store(i)
     }
 
     /// The cube schema (identical across shards).
@@ -189,39 +169,36 @@ impl ShardedIndex {
     /// exactly when any shard publishes — the coarse key old single-epoch
     /// consumers keep using.
     pub fn epoch(&self) -> u64 {
-        self.shards.iter().map(|s| s.epoch()).sum()
+        self.set.epochs().iter().sum()
     }
 
     /// The composite epoch *vector*, indexed by shard — the fine-grained
     /// response-cache stamp: a publish on shard `i` moves only entry `i`.
     pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
+        self.set.epochs()
     }
 
     /// Total units published across all shards since open.
     pub fn published_units(&self) -> u64 {
-        self.shards.iter().map(|s| s.published_units()).sum()
+        self.stores().iter().map(|s| s.published_units()).sum()
     }
 
     /// Total surgical cache invalidations across all shards.
     pub fn invalidations(&self) -> u64 {
-        self.shards.iter().map(|s| s.invalidations()).sum()
+        self.stores().iter().map(|s| s.invalidations()).sum()
     }
 
     /// Register a publish hook invoked as `(shard, epoch)` after any shard
     /// publishes. Replaces the per-shard hooks wholesale.
     pub fn set_publish_hook(&self, hook: Arc<dyn Fn(usize, u64) + Send + Sync>) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let hook = Arc::clone(&hook);
-            shard.set_publish_hook(Arc::new(move |epoch| hook(i, epoch)));
-        }
+        self.set.set_publish_hook(hook);
     }
 
     /// The highest durable row watermark across shards. Marks ride the
     /// per-day marker commit (which lands last), so this is the watermark
     /// of the last *fully* committed day.
     pub fn durable_mark(&self) -> Option<u64> {
-        self.shards.iter().filter_map(|s| s.durable_mark()).max()
+        self.stores().iter().filter_map(|s| s.durable_mark()).max()
     }
 
     /// True when `period` is materialized. For days this consults the
@@ -231,87 +208,63 @@ impl ShardedIndex {
     /// them.
     pub fn has(&self, period: Period) -> bool {
         match period {
-            Period::Day(d) => {
-                let m = marker_shard(d, self.shards.len());
-                self.shards.get(m).is_some_and(|s| s.has(period))
-            }
-            _ => self.shards.iter().any(|s| s.has(period)),
+            Period::Day(d) => self.set.is_marked(d),
+            _ => self.stores().iter().any(|s| s.has(period)),
         }
     }
 
     /// Union of materialized periods across shards, deduplicated, sorted.
     pub fn periods(&self) -> Vec<Period> {
-        let mut set = BTreeSet::new();
-        for s in &self.shards {
-            set.extend(s.periods());
-        }
+        let set: BTreeSet<Period> = self.stores().iter().flat_map(|s| s.periods()).collect();
         set.into_iter().collect()
     }
 
     /// Total physically materialized cubes (a period materialized on k
     /// shards counts k times — this is the storage-side number).
     pub fn cube_count(&self) -> usize {
-        self.shards.iter().map(|s| s.cube_count()).sum()
+        self.stores().iter().map(|s| s.cube_count()).sum()
     }
 
     /// Total bytes across all shard page files.
     pub fn storage_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.storage_bytes()).sum()
+        self.stores().iter().map(|s| s.storage_bytes()).sum()
     }
 
     /// Earliest/latest materialized day across shards.
     pub fn coverage(&self) -> Option<(Date, Date)> {
-        let mut acc: Option<(Date, Date)> = None;
-        for s in &self.shards {
-            if let Some((lo, hi)) = s.coverage() {
-                acc = Some(match acc {
-                    None => (lo, hi),
-                    Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                });
-            }
-        }
-        acc
+        self.stores()
+            .iter()
+            .filter_map(|s| s.coverage())
+            .reduce(|(alo, ahi), (lo, hi)| (alo.min(lo), ahi.max(hi)))
     }
 
     /// Aggregate cube-cache counters `(hits, misses)` across shards.
     pub fn cache_counters(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for s in &self.shards {
-            let (h, m) = s.cache().counters();
-            hits += h;
-            misses += m;
-        }
-        (hits, misses)
+        self.stores()
+            .iter()
+            .map(|s| s.cache().counters())
+            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 
     /// Total cube-cache slots across shards.
     pub fn cache_slots(&self) -> usize {
-        self.shards.iter().map(|s| s.cache().slots()).sum()
+        self.stores().iter().map(|s| s.cache().slots()).sum()
     }
 
     /// Store `cube` for `period`, split across shards. Zero splits are
     /// skipped; the anchor shard (the period's start-day marker) always
-    /// commits so [`Self::has`]/[`Self::fetch_uncached`] see the period
-    /// even when it is empty.
+    /// commits, last, so [`Self::has`]/[`Self::fetch_uncached`] see the
+    /// period even when it is empty.
     pub fn put(&self, period: Period, cube: &DataCube) -> Result<(), IndexError> {
-        let n = self.shards.len();
-        if n == 1 {
-            for s in &self.shards {
-                s.put(period, cube)?;
-            }
-            return Ok(());
-        }
-        let parts = split_cube(cube, n);
-        let anchor = marker_shard(period.start(), n);
-        for (i, (shard, part)) in self.shards.iter().zip(parts.iter()).enumerate() {
-            match part {
-                Some(p) => shard.put(period, p)?,
-                None if i == anchor => shard.put(period, &DataCube::zeroed(self.schema))?,
-                None => {}
-            }
-        }
+        let parts = split_cube(cube, self.shard_count());
+        let anchor = |held| Some(self.or_zero(held));
+        let write = |store: &TemporalIndex, part: DataCube, _| store.put(period, &part);
+        self.set.commit_day(period.start(), parts, anchor, write)?;
         Ok(())
+    }
+
+    fn or_zero(&self, part: Option<DataCube>) -> DataCube {
+        part.unwrap_or_else(|| DataCube::zeroed(self.schema))
     }
 
     /// Merge-read `period` across shards, bypassing caches. `None` when no
@@ -319,7 +272,7 @@ impl ShardedIndex {
     /// (bit-identical to the unsharded cube for split-ingested data).
     pub fn fetch_uncached(&self, period: Period) -> Result<Option<Arc<DataCube>>, IndexError> {
         let mut acc: Option<DataCube> = None;
-        for s in &self.shards {
+        for s in self.stores() {
             if let Some(cube) = s.fetch_uncached(period)? {
                 match acc.as_mut() {
                     Some(a) => a.merge_from(&cube)?,
@@ -354,41 +307,13 @@ impl ShardedIndex {
         cube: &DataCube,
         mark: Option<u64>,
     ) -> Result<MaintenanceReport, IndexError> {
-        let n = self.shards.len();
-        if n == 1 {
-            for s in &self.shards {
-                return match mark {
-                    Some(m) => s.ingest_day_marked(day, cube, m),
-                    None => s.ingest_day(day, cube),
-                };
-            }
-        }
-        let parts = split_cube(cube, n);
-        let marker = marker_shard(day, n);
         let mut report = MaintenanceReport::default();
-        for (i, (shard, part)) in self.shards.iter().zip(parts.iter()).enumerate() {
-            if i == marker {
-                continue;
-            }
-            if let Some(p) = part {
-                merge_report(&mut report, shard.ingest_day(day, p)?);
-            }
-        }
-        if let Some(shard) = self.shards.get(marker) {
-            let zero;
-            let part = match parts.get(marker).and_then(|p| p.as_ref()) {
-                Some(p) => p,
-                None => {
-                    zero = DataCube::zeroed(self.schema);
-                    &zero
-                }
-            };
-            let r = match mark {
-                Some(m) => shard.ingest_day_marked(day, part, m)?,
-                None => shard.ingest_day(day, part)?,
-            };
+        let parts = split_cube(cube, self.shard_count());
+        self.set.commit_day(day, parts, |held| Some(self.or_zero(held)), |store, part, is_marker| {
+            let r = store.ingest_day_unit(day, &part, mark.filter(|_| is_marker))?;
             merge_report(&mut report, r);
-        }
+            Ok(())
+        })?;
         Ok(report)
     }
 
@@ -407,24 +332,12 @@ impl ShardedIndex {
         month: u32,
         daily: &HashMap<Date, DataCube>,
     ) -> Result<MaintenanceReport, IndexError> {
-        let n = self.shards.len();
-        if n == 1 {
-            let mut report = MaintenanceReport::default();
-            for s in &self.shards {
-                report = s.rebuild_month(year, month, daily)?;
-            }
-            return Ok(report);
-        }
+        let n = self.shard_count();
         let mut maps: Vec<HashMap<Date, DataCube>> = (0..n).map(|_| HashMap::new()).collect();
         for (d, cube) in daily {
-            let marker = marker_shard(*d, n);
-            for (i, part) in split_cube(cube, n).into_iter().enumerate() {
-                let part = match part {
-                    Some(p) => Some(p),
-                    None if i == marker => Some(DataCube::zeroed(self.schema)),
-                    None => None,
-                };
-                if let (Some(p), Some(map)) = (part, maps.get_mut(i)) {
+            let marker = self.set.router().marker(*d, n);
+            for (i, (part, map)) in split_cube(cube, n).into_iter().zip(&mut maps).enumerate() {
+                if let Some(p) = if i == marker { Some(self.or_zero(part)) } else { part } {
                     map.insert(*d, p);
                 }
             }
@@ -433,31 +346,26 @@ impl ShardedIndex {
             Ok(_) => Period::Month(year, month).range().days().collect(),
             Err(_) => Vec::new(),
         };
+        let units = maps.into_iter().zip(self.stores()).map(|(map, shard)| {
+            let touched = !map.is_empty() || month_days.iter().any(|d| shard.has(Period::Day(*d)));
+            touched.then_some(map)
+        });
         let mut report = MaintenanceReport::default();
-        for (shard, map) in self.shards.iter().zip(maps.iter()) {
-            let touched =
-                !map.is_empty() || month_days.iter().any(|d| shard.has(Period::Day(*d)));
-            if touched {
-                merge_report(&mut report, shard.rebuild_month(year, month, map)?);
-            }
-        }
+        self.set.write_units(units, |store, map| {
+            merge_report(&mut report, store.rebuild_month(year, month, &map)?);
+            Ok(())
+        })?;
         Ok(report)
     }
 
     /// Warm every shard's cube cache.
     pub fn warm_cache(&self) -> Result<(), IndexError> {
-        for s in &self.shards {
-            s.warm_cache()?;
-        }
-        Ok(())
+        self.stores().iter().try_for_each(|s| s.warm_cache())
     }
 
     /// Fsync every shard.
     pub fn sync(&self) -> Result<(), IndexError> {
-        for s in &self.shards {
-            s.sync()?;
-        }
-        Ok(())
+        self.set.sync()
     }
 }
 
@@ -465,6 +373,7 @@ impl ShardedIndex {
 mod tests {
     use super::*;
     use crate::cache::CacheStrategy;
+    use crate::routing::marker_shard;
     use dettest::{Rng, TempDir};
 
     fn cube_from(rng: &mut Rng, schema: CubeSchema, density: u64) -> DataCube {

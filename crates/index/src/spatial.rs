@@ -9,34 +9,32 @@
 //! ([`CubeKey::regional`]), so blocks inherit its WAL atomicity and
 //! snapshot isolation wholesale.
 //!
-//! ## Region confinement
-//!
-//! Blocks are sharded by **longitude band** ([`spatial_shard_for`]): each
-//! shard is an independent [`TemporalIndex`] with its own WAL and epoch
-//! stream, and a day's publish touches only the shards whose cells saw
-//! data. The dashboard stamps viewport responses with the epochs of
-//! exactly the bands its cover touches — a publish in one region never
-//! evicts another region's cached tiles.
+//! The blocks live in a [`ShardSet`] sharded by **longitude band**
+//! ([`BandRouter`]): a day's publish touches only the bands whose cells
+//! saw data, and the dashboard stamps viewport responses with the epochs
+//! of exactly the bands its cover touches — a publish in one region never
+//! evicts another region's cached tiles. This layer adds what is specific
+//! to blocks: sparse encoding, the decoded-block cache and month roll-ups.
 //!
 //! ## Missing block: provably empty, or scan fallback
 //!
 //! The bank is an *accelerator*, not the source of truth — but it can
-//! still prove absence. Every publish commits a tiny day marker to a
-//! *separate* registry store (not a band, so no band epoch moves and no
+//! still prove absence. Every publish commits a tiny day marker, last, to
+//! the set's registry store (not a band, so no band epoch moves and no
 //! viewport tile is evicted): a (cell, day) with no block on a *marked*
 //! day provably has no rows, and the planner skips it outright. Only an
 //! *unmarked* day — history the bank never saw — falls back to a
-//! warehouse scan, which is exact either way. The marker commits strictly
-//! *after* the band units: a crash between the two loses acceleration
-//! (extra scans), never rows. Blocks whose sparse encoding outgrows the
-//! bank's small page are simply skipped rather than split; their cells
-//! stay reachable through the scan path because the oversize skip also
-//! suppresses that day's marker. Ingest orders warehouse flush → cube
-//! commit → bank publish *last*, so the warehouse is always at least as
-//! new as any marker.
+//! warehouse scan, which is exact either way. A crash between the band
+//! units and the marker loses acceleration (extra scans), never rows.
+//! Blocks whose sparse encoding outgrows the bank's small page are simply
+//! skipped rather than split; their cells stay reachable through the scan
+//! path because the oversize skip also suppresses that day's marker.
+//! Ingest orders warehouse flush → cube commit → bank publish *last*, so
+//! the warehouse is always at least as new as any marker.
 
 use crate::cache::CacheConfig;
-use crate::routing::spatial_shard_for;
+use crate::routing::BandRouter;
+use crate::shardset::{Router, ShardSet};
 use crate::store::{CatalogVersion, CubeKey, FetchOutcome, IndexError, TemporalIndex};
 use rased_cube::{CubeSchema, SparseBlock};
 use rased_geo::{CellId, GridSpec, Point};
@@ -45,7 +43,7 @@ use rased_storage::sync::Mutex;
 use rased_storage::{IoCostModel, LruCache, PageId};
 use rased_temporal::{Date, Period};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,36 +69,21 @@ pub struct SpatialPublishReport {
     pub shards_touched: usize,
 }
 
-/// The spatial block bank: N longitude-band shards of per-cell
+/// One band's write unit: block bytes, or `None` tombstones, by key.
+type Unit = Vec<(CubeKey, Option<Vec<u8>>)>;
+
+/// The spatial block bank: longitude-band shards of per-cell
 /// pre-aggregated blocks over one [`GridSpec`].
 pub struct SpatialBank {
     grid: GridSpec,
     schema: CubeSchema,
-    shards: Vec<TemporalIndex>,
-    /// Day-marker registry: one tiny block per fully-published day. A
-    /// separate store so marker commits never bump a band epoch (bumping
-    /// one would evict that band's cached viewport tiles for no reason).
-    marker: TemporalIndex,
+    set: ShardSet<BandRouter>,
     /// Page-tagged block cache, shared across bank shards. A leaf lock:
     /// probes and inserts are memcpy-bounded and never held across I/O.
     blocks: Mutex<LruCache<(usize, CubeKey), (PageId, Arc<SparseBlock>)>>,
     cache_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-fn bank_dir(dir: &Path, i: usize) -> PathBuf {
-    dir.join(format!("spatial-{i:03}"))
-}
-
-/// Region code of day markers in the registry store. The registry holds
-/// only markers, so the code just needs to be stable; `u32::MAX` also maps
-/// to no grid cell, which keeps [`SpatialBank::cell_of_key`] honest if a
-/// marker key ever leaks into band-oriented code.
-const MARKER_REGION: u32 = u32::MAX;
-
-fn marker_key(day: Date) -> CubeKey {
-    CubeKey::regional(Period::Day(day), MARKER_REGION)
 }
 
 impl SpatialBank {
@@ -115,8 +98,9 @@ impl SpatialBank {
         model: IoCostModel,
         cache_blocks: usize,
     ) -> Result<SpatialBank, IndexError> {
-        Self::build(dir, shards, grid, schema, model, cache_blocks, |d, s, m| {
-            TemporalIndex::create_sized(d, s, 3, CacheConfig::disabled(), m, BLOCK_PAGE_BYTES)
+        Self::build(dir, shards, grid, schema, cache_blocks, |d| {
+            let cache = CacheConfig::disabled();
+            TemporalIndex::create_sized(d, schema, 3, cache, model, BLOCK_PAGE_BYTES)
         })
     }
 
@@ -131,8 +115,8 @@ impl SpatialBank {
         model: IoCostModel,
         cache_blocks: usize,
     ) -> Result<SpatialBank, IndexError> {
-        Self::build(dir, shards, grid, schema, model, cache_blocks, |d, s, m| {
-            TemporalIndex::open(d, s, 3, CacheConfig::disabled(), m)
+        Self::build(dir, shards, grid, schema, cache_blocks, |d| {
+            TemporalIndex::open(d, schema, 3, CacheConfig::disabled(), model)
         })
     }
 
@@ -141,26 +125,23 @@ impl SpatialBank {
         shards: usize,
         grid: GridSpec,
         schema: CubeSchema,
-        model: IoCostModel,
         cache_blocks: usize,
-        mk: impl Fn(&Path, CubeSchema, IoCostModel) -> Result<TemporalIndex, IndexError>,
+        mk: impl Fn(&Path) -> Result<TemporalIndex, IndexError>,
     ) -> Result<SpatialBank, IndexError> {
-        let n = shards.max(1);
-        let mut stores = Vec::with_capacity(n);
-        for i in 0..n {
-            stores.push(mk(&bank_dir(dir, i), schema, model)?);
-        }
-        let marker = mk(&dir.join("marker"), schema, model)?;
         Ok(SpatialBank {
             grid,
             schema,
-            shards: stores,
-            marker,
+            set: ShardSet::build(dir, shards, BandRouter::new(grid.cols()), mk)?,
             blocks: Mutex::new_named(LruCache::new(), "index.spatial_block_cache"),
             cache_cap: cache_blocks,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
+    }
+
+    /// The underlying shard set (routing, epochs, pinning).
+    pub fn set(&self) -> &ShardSet<BandRouter> {
+        &self.set
     }
 
     /// The grid every block is addressed against.
@@ -175,17 +156,17 @@ impl SpatialBank {
 
     /// Number of longitude-band shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.set.shard_count()
     }
 
     /// The per-shard stores, in band order (exposes I/O statistics).
     pub fn stores(&self) -> &[TemporalIndex] {
-        &self.shards
+        self.set.stores()
     }
 
     /// The band shard owning `cell`.
     pub fn shard_of(&self, cell: CellId) -> usize {
-        spatial_shard_for(cell, self.grid.cols(), self.shards.len())
+        self.set.shard_of(cell)
     }
 
     /// The lattice key of `cell`'s block for `period`.
@@ -193,39 +174,25 @@ impl SpatialBank {
         CubeKey::regional(period, self.grid.code(cell) + 1)
     }
 
-    /// The cell a regional key addresses (`None` for world keys or codes
-    /// outside the grid).
-    pub fn cell_of_key(&self, key: CubeKey) -> Option<CellId> {
-        key.region.checked_sub(1).and_then(|code| self.grid.cell_from_code(code))
-    }
-
     /// Pin shard `i`'s catalog version.
     pub fn snapshot(&self, shard: usize) -> Option<Arc<CatalogVersion>> {
-        self.shards.get(shard).map(|s| s.snapshot())
-    }
-
-    /// Pin every shard's catalog version, in band order.
-    pub fn snapshots(&self) -> Vec<Arc<CatalogVersion>> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
+        self.set.store(shard).map(|s| s.snapshot())
     }
 
     /// Per-band epoch vector — the dashboard's viewport cache stamp.
     pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
+        self.set.epochs()
     }
 
     /// Total materialized blocks across shards.
     pub fn block_count(&self) -> usize {
-        self.shards.iter().map(|s| s.cube_count()).sum()
+        self.stores().iter().map(|s| s.cube_count()).sum()
     }
 
     /// Register a publish hook invoked as `(band_shard, epoch)` after any
     /// band publishes. Replaces the per-shard hooks wholesale.
     pub fn set_publish_hook(&self, hook: Arc<dyn Fn(usize, u64) + Send + Sync>) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let hook = Arc::clone(&hook);
-            shard.set_publish_hook(Arc::new(move |epoch| hook(i, epoch)));
-        }
+        self.set.set_publish_hook(hook);
     }
 
     /// Block-cache `(hits, misses)`.
@@ -235,17 +202,14 @@ impl SpatialBank {
 
     /// Fsync every band and the day-marker registry.
     pub fn sync(&self) -> Result<(), IndexError> {
-        for s in &self.shards {
-            s.sync()?;
-        }
-        self.marker.sync()
+        self.set.sync()
     }
 
     /// Pin the day-marker registry's catalog version. Pair with
     /// [`SpatialBank::day_published`] for a consistent view across one
     /// query's whole plan.
     pub fn marker_snapshot(&self) -> Arc<CatalogVersion> {
-        self.marker.snapshot()
+        self.set.registry().map(|r| r.snapshot()).unwrap_or_default()
     }
 
     /// True when `day` was fully published to the bank under `snap` (a
@@ -254,7 +218,7 @@ impl SpatialBank {
     /// needs no warehouse scan. Days with oversize-skipped blocks are
     /// never marked — their cells keep the scan fallback.
     pub fn day_published(&self, snap: &CatalogVersion, day: Date) -> bool {
-        snap.contains_key(marker_key(day))
+        snap.contains_key(self.set.router().marker_key(day))
     }
 
     /// True when `cell` has a block for `period` in `snap` (shard-local
@@ -300,13 +264,10 @@ impl SpatialBank {
                 return Ok(Some((b, FetchOutcome::Cache)));
             }
         }
-        let Some(store) = self.shards.get(shard) else {
+        let Some((pg, block)) = self.read_block(shard, snap, key)? else {
             return Ok(None);
         };
-        let Some((pg, bytes)) = store.fetch_block_at(snap, key)? else {
-            return Ok(None);
-        };
-        let block = Arc::new(SparseBlock::from_bytes(self.schema, &bytes)?);
+        let block = Arc::new(block);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.cache_cap > 0 {
             let mut c = self.blocks.lock();
@@ -324,18 +285,18 @@ impl SpatialBank {
         Ok(Some((block, FetchOutcome::Disk)))
     }
 
-    /// Read a block bypassing the cache (roll-up construction).
+    /// Read and decode a block bypassing the cache.
     fn read_block(
         &self,
         shard: usize,
         snap: &CatalogVersion,
         key: CubeKey,
-    ) -> Result<Option<SparseBlock>, IndexError> {
-        let Some(store) = self.shards.get(shard) else {
+    ) -> Result<Option<(PageId, SparseBlock)>, IndexError> {
+        let Some(store) = self.set.store(shard) else {
             return Ok(None);
         };
         match store.fetch_block_at(snap, key)? {
-            Some((_, bytes)) => Ok(Some(SparseBlock::from_bytes(self.schema, &bytes)?)),
+            Some((pg, bytes)) => Ok(Some((pg, SparseBlock::from_bytes(self.schema, &bytes)?))),
             None => Ok(None),
         }
     }
@@ -365,15 +326,16 @@ impl SpatialBank {
     /// (no zone expansion — geography is explicit in the key). On a
     /// month-closing day, every band holding day blocks of that month also
     /// gets its cells' month roll-up blocks in the same unit. Only bands
-    /// with something to publish commit (and bump their epoch).
+    /// with something to publish commit (and bump their epoch); the day
+    /// marker commits last.
     pub fn publish_day(
         &self,
         day: Date,
         records: &[UpdateRecord],
     ) -> Result<SpatialPublishReport, IndexError> {
         let mut report = SpatialPublishReport::default();
-        let n = self.shards.len();
-        let mut units: Vec<Vec<(CubeKey, Option<Vec<u8>>)>> = (0..n).map(|_| Vec::new()).collect();
+        let n = self.shard_count();
+        let mut units: Vec<Unit> = (0..n).map(|_| Vec::new()).collect();
         let mut staged: Vec<BTreeMap<u32, SparseBlock>> = (0..n).map(|_| BTreeMap::new()).collect();
 
         let mut day_oversize = false;
@@ -395,15 +357,11 @@ impl SpatialBank {
 
         if day == day.month_end() {
             let month = Period::month_of(day);
-            for s in 0..n {
-                let snap = match self.shards.get(s) {
-                    Some(store) => store.snapshot(),
-                    None => continue,
-                };
+            for (s, (unit, staged)) in units.iter_mut().zip(&staged).enumerate() {
+                let Some(snap) = self.snapshot(s) else { continue };
                 // Every region with a day block this month — committed or
                 // staged right now — gets a month roll-up.
-                let mut regions: BTreeSet<u32> =
-                    staged.get(s).map(|m| m.keys().copied().collect()).unwrap_or_default();
+                let mut regions: BTreeSet<u32> = staged.keys().copied().collect();
                 for key in snap.keys() {
                     if !key.is_world() && matches!(key.period, Period::Day(d) if month.contains(d)) {
                         regions.insert(key.region);
@@ -413,10 +371,10 @@ impl SpatialBank {
                     let mut sum = SparseBlock::empty(self.schema);
                     for d in month.range().days() {
                         if d == day {
-                            if let Some(b) = staged.get(s).and_then(|m| m.get(&region)) {
+                            if let Some(b) = staged.get(&region) {
                                 sum.merge_from(b)?;
                             }
-                        } else if let Some(b) =
+                        } else if let Some((_, b)) =
                             self.read_block(s, &snap, CubeKey::regional(Period::Day(d), region))?
                         {
                             sum.merge_from(&b)?;
@@ -427,31 +385,24 @@ impl SpatialBank {
                         report.oversize_skipped += 1;
                         continue;
                     }
-                    if let Some(unit) = units.get_mut(s) {
-                        unit.push((CubeKey::regional(month, region), Some(bytes)));
-                        report.month_blocks += 1;
-                    }
+                    unit.push((CubeKey::regional(month, region), Some(bytes)));
+                    report.month_blocks += 1;
                 }
             }
         }
 
-        for (store, unit) in self.shards.iter().zip(units.into_iter()) {
-            if !unit.is_empty() {
-                store.put_blocks(unit)?;
-                report.shards_touched += 1;
-            }
-        }
-        // Day marker strictly last: present only once every band unit is
-        // durable, so a marked day's blocks are complete. A day-block
-        // oversize skip suppresses the marker — the skipped cell's rows
-        // are reachable only through the scan fallback, which the marker
-        // would disable.
-        if !day_oversize {
-            self.marker.put_blocks(vec![(
-                marker_key(day),
-                Some(SparseBlock::empty(self.schema).to_bytes()),
-            )])?;
-        }
+        // A day-block oversize skip suppresses the marker — the skipped
+        // cell's rows are reachable only through the scan fallback, which
+        // the marker would disable.
+        let marker_block = SparseBlock::empty(self.schema).to_bytes();
+        let marker_key = self.set.router().marker_key(day);
+        let marker = (!day_oversize).then(|| vec![(marker_key, Some(marker_block))]);
+        report.shards_touched = self.set.commit_day(
+            day,
+            units.into_iter().map(|u| (!u.is_empty()).then_some(u)).collect(),
+            |_| marker,
+            |store, unit, _| store.put_blocks(unit),
+        )?;
         Ok(report)
     }
 
@@ -468,8 +419,8 @@ impl SpatialBank {
     ) -> Result<SpatialPublishReport, IndexError> {
         let mut report = SpatialPublishReport::default();
         let month_period = Period::Month(year, month);
-        let n = self.shards.len();
-        let mut units: Vec<Vec<(CubeKey, Option<Vec<u8>>)>> = (0..n).map(|_| Vec::new()).collect();
+        let n = self.shard_count();
+        let mut units: Vec<Unit> = (0..n).map(|_| Vec::new()).collect();
         let mut monthly: Vec<BTreeMap<u32, SparseBlock>> = (0..n).map(|_| BTreeMap::new()).collect();
         let mut restaged: Vec<BTreeSet<CubeKey>> = (0..n).map(|_| BTreeSet::new()).collect();
 
@@ -501,10 +452,8 @@ impl SpatialBank {
             }
         }
 
-        for (s, store) in self.shards.iter().enumerate() {
-            let snap = store.snapshot();
-            let mut unit = units.get_mut(s).map(std::mem::take).unwrap_or_default();
-            let seen = restaged.get(s);
+        for (s, ((unit, seen), sums)) in units.iter_mut().zip(&restaged).zip(&monthly).enumerate() {
+            let Some(snap) = self.snapshot(s) else { continue };
             // Tombstone committed in-month keys (day or month level) that
             // the refinement did not restage; restaged month keys are
             // replaced below instead.
@@ -512,45 +461,38 @@ impl SpatialBank {
                 if key.is_world() {
                     continue;
                 }
-                let in_month = match key.period {
-                    Period::Day(d) => month_period.contains(d),
-                    p => p == month_period,
-                };
-                if !in_month {
-                    continue;
-                }
                 let replaced = match key.period {
-                    Period::Day(_) => seen.is_some_and(|set| set.contains(&key)),
-                    _ => monthly.get(s).is_some_and(|m| m.contains_key(&key.region)),
+                    Period::Day(d) if month_period.contains(d) => seen.contains(&key),
+                    p if p == month_period => sums.contains_key(&key.region),
+                    _ => continue,
                 };
                 if !replaced {
                     unit.push((key, None));
                     report.tombstones += 1;
                 }
             }
-            if let Some(sums) = monthly.get(s) {
-                for (region, sum) in sums {
-                    let bytes = sum.to_bytes();
-                    if bytes.len() > BLOCK_PAGE_BYTES {
-                        report.oversize_skipped += 1;
-                        continue;
-                    }
-                    unit.push((CubeKey::regional(month_period, *region), Some(bytes)));
-                    report.month_blocks += 1;
+            for (region, sum) in sums {
+                let bytes = sum.to_bytes();
+                if bytes.len() > BLOCK_PAGE_BYTES {
+                    report.oversize_skipped += 1;
+                    continue;
                 }
-            }
-            if !unit.is_empty() {
-                store.put_blocks(unit)?;
-                report.shards_touched += 1;
+                unit.push((CubeKey::regional(month_period, *region), Some(bytes)));
+                report.month_blocks += 1;
             }
         }
+        report.shards_touched = self.set.write_units(
+            units.into_iter().map(|u| (!u.is_empty()).then_some(u)),
+            |store, unit| store.put_blocks(unit),
+        )?;
         // A refined day whose block newly outgrew the page loses its
         // marker: its rows are only reachable through the scan fallback,
-        // which a standing marker would disable. (Marker changes last, as
-        // in `publish_day` — see the crash-ordering note there.)
-        if !oversize_days.is_empty() {
-            self.marker
-                .put_blocks(oversize_days.into_iter().map(|d| (marker_key(d), None)).collect())?;
+        // which a standing marker would disable. Marker changes go last,
+        // as in `publish_day`.
+        if let (false, Some(registry)) = (oversize_days.is_empty(), self.set.registry()) {
+            let router = self.set.router();
+            let tombstones = oversize_days.iter().map(|d| (router.marker_key(*d), None)).collect();
+            registry.put_blocks(tombstones)?;
         }
         Ok(report)
     }
@@ -655,14 +597,20 @@ mod tests {
         for day in ["2021-03-05", "2021-03-20", "2021-03-31"] {
             b.publish_day(d(day), &[rec(day, 100, 10)]).expect("publish");
         }
+        // The east band holds data, but none of it in March.
+        b.publish_day(d("2021-04-02"), &[rec("2021-04-02", 100, 1990)]).expect("publish");
         let cell = b.grid().cell_of(Point::new(100, 10)).unwrap();
         let s = b.shard_of(cell);
+        let east = b.shard_of(b.grid().cell_of(Point::new(100, 1990)).unwrap());
+        assert_ne!(s, east);
+        let before = b.epochs();
         // Refined crawl: Mar 5 keeps two records, Mar 20 drops out.
         let mut by_day = BTreeMap::new();
         by_day.insert(d("2021-03-05"), vec![rec("2021-03-05", 100, 10), rec("2021-03-05", 110, 12)]);
         by_day.insert(d("2021-03-31"), vec![rec("2021-03-31", 100, 10)]);
         let report = b.rebuild_month(2021, 3, &by_day).expect("rebuild");
         assert_eq!(report.tombstones, 1, "Mar 20's block must be tombstoned");
+        assert_eq!(report.shards_touched, 1, "only the west band has a stake in March");
 
         let snap = b.snapshot(s).unwrap();
         assert!(!b.has_block(&snap, cell, Period::Day(d("2021-03-20"))));
@@ -672,16 +620,11 @@ mod tests {
             b.fetch_block(s, &snap, cell, Period::Month(2021, 3)).expect("fetch").expect("month");
         assert_eq!(month.total(), 3, "rebuilt roll-up excludes the dropped day");
 
-        // An untouched band publishes nothing.
-        let other = 1 - s;
-        let other_epoch_before = b.epochs()[usize::from(other == 1)]; // kept simple below
-        let _ = other_epoch_before;
-        let mut empty = BTreeMap::new();
-        empty.insert(d("2021-04-02"), vec![rec("2021-04-02", 100, 1990)]);
-        let before = b.epochs();
-        b.publish_day(d("2021-04-02"), &[rec("2021-04-02", 100, 1990)]).expect("publish");
+        // A band with no stake in the month keeps its epoch (and the
+        // viewport tiles stamped with it) across the rebuild.
         let after = b.epochs();
-        assert_eq!(before.first(), after.first(), "west band untouched by an east publish");
+        assert_eq!(before[east], after[east], "east band must not publish on a March rebuild");
+        assert!(after[s] > before[s], "the west band republishes");
     }
 
     #[test]

@@ -176,8 +176,9 @@ impl fmt::Display for CubeKey {
 /// Readers clone the `Arc` once ([`TemporalIndex::snapshot`]) and resolve
 /// every page through it for the whole plan + execute of a query, so they
 /// can never observe a half-published unit: a concurrent commit swaps in a
-/// *new* version and never mutates this one.
-#[derive(Debug)]
+/// *new* version and never mutates this one. The default is the empty
+/// catalog at epoch 0.
+#[derive(Debug, Default)]
 pub struct CatalogVersion {
     epoch: u64,
     map: HashMap<CubeKey, PageId>,
@@ -802,7 +803,7 @@ impl TemporalIndex {
         self.ingest_day_unit(day, cube, Some(mark))
     }
 
-    fn ingest_day_unit(
+    pub(crate) fn ingest_day_unit(
         &self,
         day: Date,
         cube: &DataCube,

@@ -204,6 +204,23 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// Reject a configured root that resolves to no function: a renamed or
+/// deleted entry point would otherwise silently shrink the pass it seeds.
+fn check_roots(config: &Config, graph: &callgraph::Graph<'_>) -> Result<(), String> {
+    for (section, specs) in [
+        ("[panic] reach_roots", &config.panic_reach_roots),
+        ("[nonblocking] roots", &config.nonblocking_roots),
+        ("[nonblocking] deny_calls", &config.nonblocking_deny_calls),
+    ] {
+        if let Some(spec) = specs.iter().find(|spec| graph.find_roots(spec).is_empty()) {
+            return Err(format!(
+                "lint.toml: {section} entry {spec:?} names no function in the workspace"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Run every pass over the workspace at `root` and evaluate policy
 /// (baseline ratchet + deny-crates) into a [`Report`].
 pub fn run_workspace(root: &Path) -> Result<Report, Box<dyn std::error::Error>> {
@@ -227,6 +244,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, Box<dyn std::error::Error>> 
     // lock-rank propagation, the nonblocking event-loop invariant, and
     // panic reachability from the request path.
     let graph = callgraph::Graph::build(&crates);
+    check_roots(&config, &graph)?;
     locks::propagate(&config, &graph, &mut report.findings);
     nonblocking::scan(&config, &graph, &mut report.findings);
     reach::scan(&config, &graph, &mut report.findings);

@@ -158,3 +158,40 @@ fn clean_interprocedural_workspace_passes() {
         assert_eq!(category_findings(&report, category), (0, 0));
     }
 }
+
+#[test]
+fn root_naming_no_function_is_a_config_error() {
+    // Every configured root list is checked: an entry that resolves to no
+    // function (renamed or deleted) must fail the run and name itself,
+    // not silently shrink the pass it seeds.
+    let src = "pub fn handle(x: u32) -> u32 { x }\npub fn event_loop(x: u32) -> u32 { x }\n";
+    for (tag, config, entry) in [
+        (
+            "reach",
+            "[panic]\nreach_roots = [\"app:handle\", \"app:handle_connection\"]\n",
+            "app:handle_connection",
+        ),
+        ("nbroot", "[nonblocking]\nroots = [\"app:gone_loop\"]\n", "app:gone_loop"),
+        (
+            "deny",
+            "[nonblocking]\nroots = [\"app:event_loop\"]\ndeny_calls = [\"app:route\"]\n",
+            "app:route",
+        ),
+    ] {
+        let root = workspace(
+            &format!("roots-{tag}"),
+            &[
+                ("Cargo.toml", ROOT_MANIFEST),
+                ("lint.toml", config),
+                ("crates/app/Cargo.toml", APP_MANIFEST),
+                ("crates/app/src/lib.rs", src),
+            ],
+        );
+        let err = match run_workspace(&root) {
+            Ok(report) => panic!("{tag}: dangling root accepted: {:?}", report.failures),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains(&format!("{entry:?}")), "{tag}: {err}");
+        assert!(err.contains("names no function"), "{tag}: {err}");
+    }
+}

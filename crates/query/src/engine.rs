@@ -18,16 +18,14 @@ use crate::naive::RecordAggregator;
 use rased_cube::DimSelection;
 use rased_geo::{BBox, CellId, GridSpec, Point};
 use rased_index::{
-    shard_for, BlockSource, CatalogVersion, CubeSource, FetchOutcome, IndexError, LatticePlanner,
-    LevelPlanner, PlannerKind, QueryPlan, ShardedIndex, SpatialBank, TemporalIndex,
+    shard_for, BlockSource, CubeSource, FetchOutcome, IndexError, LatticePlanner, LevelPlanner,
+    Pinned, PlannerKind, ShardedIndex, SpatialBank, TemporalIndex,
 };
 use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateType};
 use rased_storage::sync::Mutex;
-use rased_storage::IoSnapshot;
 use rased_temporal::{Date, DateRange, Period};
 use rased_warehouse::{Warehouse, WarehouseError};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 /// Query execution error.
@@ -164,22 +162,14 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// The stores a query must visit: country filters route to owning
-    /// shards only (predicate pushdown), everything else fans out. With a
-    /// single store this is always just that store.
-    fn route(&self, q: &AnalysisQuery) -> Vec<&'a TemporalIndex> {
-        let n = self.stores.len();
-        if n <= 1 {
-            return self.stores.clone();
-        }
-        let Some(countries) = &q.countries else { return self.stores.clone() };
-        let mut wanted = vec![false; n];
-        for c in countries {
-            if let Some(w) = wanted.get_mut(shard_for(*c, n)) {
-                *w = true;
-            }
-        }
-        self.stores.iter().zip(wanted).filter_map(|(s, hit)| hit.then_some(*s)).collect()
+    /// The stores a query must visit, by shard: country filters route to
+    /// owning shards only (predicate pushdown), everything else fans out.
+    fn route(&self, q: &AnalysisQuery) -> Vec<(usize, &'a TemporalIndex)> {
+        let all = || self.stores.iter().copied().enumerate().collect();
+        let Some(countries) = &q.countries else { return all() };
+        let owned: BTreeSet<usize> =
+            countries.iter().map(|c| shard_for(*c, self.stores.len())).collect();
+        owned.into_iter().filter_map(|i| self.stores.get(i).map(|s| (i, *s))).collect()
     }
 
     /// Execute an analysis query.
@@ -192,23 +182,12 @@ impl<'a> QueryEngine<'a> {
         }
         let start = Instant::now();
 
-        // Scatter: route to the stores this query can touch at all, then
-        // pin one catalog snapshot per routed store for the whole plan +
-        // execute. Concurrent publishes swap in new versions but never
-        // mutate a pinned one, so each store contributes one consistent
-        // state — never a half-published unit or a blend of two epochs.
-        let routed: Vec<(&'a TemporalIndex, Arc<CatalogVersion>)> =
-            self.route(q).into_iter().map(|s| (s, s.snapshot())).collect();
-        let io_before: Vec<IoSnapshot> =
-            routed.iter().map(|(s, _)| s.file().stats().snapshot()).collect();
+        // Scatter: pin one catalog snapshot per routed store for the whole
+        // plan + execute, so each store contributes one consistent state —
+        // never a half-published unit or a blend of two epochs.
+        let pinned = Pinned::pin(self.route(q));
         let selection = self.selection(q);
-        let mut stats = QueryStats {
-            // The composite epoch of everything pinned: with one store
-            // this is exactly its snapshot epoch; sharded, it is the sum
-            // over routed shards (each term individually monotonic).
-            epoch: routed.iter().map(|(_, snap)| snap.epoch()).sum(),
-            ..QueryStats::default()
-        };
+        let mut stats = QueryStats { epoch: pinned.epoch(), ..QueryStats::default() };
 
         // A filter that selects no cell (e.g. only out-of-schema ids) can
         // never match; skip planning and cube fetches entirely.
@@ -218,43 +197,29 @@ impl<'a> QueryEngine<'a> {
         }
 
         // Phase 1 (planning, pure metadata): collect every cube to fetch,
-        // tagged with its store slot and the date group it lands in. Each
-        // store plans against its own catalog + cache state. Empty days
-        // are settled here so the worker phase only sees real fetches.
-        let mut items: Vec<(usize, Option<Period>, Period)> = Vec::new();
-        for (slot, (store, snap)) in routed.iter().enumerate() {
-            match q.date_granularity() {
-                None => {
-                    self.collect_plan(store, snap, q.range, None, slot, &mut items, &mut stats);
-                }
-                Some(g) => {
-                    // Date grouping: evaluate each period of granularity
-                    // `g` that intersects the range on its clipped
-                    // sub-range, so partial periods at the edges only
-                    // count in-range days.
-                    let mut p = Period::containing(g, q.range.start());
-                    while p.start() <= q.range.end() {
-                        // The loop condition keeps p overlapping q.range,
-                        // but a typed break beats a panic if Period
-                        // arithmetic drifts.
-                        let Some(sub) = p.range().intersect(q.range) else { break };
-                        self.collect_plan(store, snap, sub, Some(p), slot, &mut items, &mut stats);
-                        p = p.succ();
+        // tagged with its shard and the date group it lands in. Each store
+        // plans against its own catalog + cache state. Empty days are
+        // settled here (a day empty on k routed shards counts k times), so
+        // the worker phase only sees real fetches.
+        let windows = windows(q);
+        let mut items: Vec<Item> = Vec::new();
+        for (shard, pin) in pinned.iter() {
+            for &(date_key, sub) in &windows {
+                let exists = |p: Period| pin.snap.contains(p);
+                let cached = |p: Period| pin.store.cache().contains(p);
+                let planner = LevelPlanner::new(pin.store.levels(), &exists, &cached);
+                let plan = planner.plan(sub, self.planner);
+                for planned in &plan.cubes {
+                    if planned.source == CubeSource::Empty {
+                        stats.empty_days += 1;
+                    } else {
+                        items.push((shard, date_key, planned.period));
                     }
                 }
             }
         }
 
-        // Phase 2 (gather: fetch + aggregate): sequential inline, or
-        // strided over the worker pool — cross-shard fan-out and
-        // intra-shard parallelism share the same pool. Merging is
-        // commutative addition, so the final map is identical either way.
-        let groups = if self.threads <= 1 || items.len() <= 1 {
-            self.run_sequential(&routed, &items, &selection, q, &mut stats)?
-        } else {
-            self.run_parallel(&routed, &items, &selection, q, &mut stats)?
-        };
-
+        let groups = self.gather(&pinned, &items, &selection, q, &mut stats)?;
         let grand_total: u64 = groups.values().sum();
         let mut rows: Vec<ResultRow> = groups
             .into_iter()
@@ -271,23 +236,9 @@ impl<'a> QueryEngine<'a> {
             .collect();
         rows.sort_by_key(|r| r.key);
 
-        for ((store, _), before) in routed.iter().zip(io_before.iter()) {
-            let delta = store.file().stats().snapshot().since(before);
-            stats.io.reads += delta.reads;
-            stats.io.writes += delta.writes;
-            stats.io.bytes_read += delta.bytes_read;
-            stats.io.bytes_written += delta.bytes_written;
-            stats.io.modeled = stats.io.modeled.saturating_add(delta.modeled);
-        }
+        stats.io += pinned.io_since();
         stats.wall = start.elapsed();
         Ok(QueryResult { rows, stats })
-    }
-
-    fn plan(&self, store: &TemporalIndex, snap: &CatalogVersion, range: DateRange) -> QueryPlan {
-        let exists = |p: Period| snap.contains(p);
-        let cached = |p: Period| store.cache().contains(p);
-        let planner = LevelPlanner::new(store.levels(), &exists, &cached);
-        planner.plan(range, self.planner)
     }
 
     fn selection(&self, q: &AnalysisQuery) -> DimSelection {
@@ -310,122 +261,57 @@ impl<'a> QueryEngine<'a> {
         sel
     }
 
-    /// Plan `range` on one store and append its fetchable cubes to
-    /// `items`; days the planner proves empty are settled into `stats`
-    /// immediately. (Sharded, a day empty on k routed shards counts k
-    /// times — `empty_days` is a per-store planning statistic.)
-    #[allow(clippy::too_many_arguments)]
-    fn collect_plan(
+    /// Phase 2 (gather: fetch + aggregate). The items are strided over
+    /// `threads` workers — cross-shard fan-out and intra-shard parallelism
+    /// share one pool — each aggregating into a private map. One worker
+    /// runs inline on the calling thread; more run in a `thread::scope`.
+    /// Maps merge by commutative addition, so the result is identical at
+    /// any width, and the lowest-indexed worker's error wins.
+    fn gather(
         &self,
-        store: &TemporalIndex,
-        snap: &CatalogVersion,
-        range: DateRange,
-        date_key: Option<Period>,
-        slot: usize,
-        items: &mut Vec<(usize, Option<Period>, Period)>,
-        stats: &mut QueryStats,
-    ) {
-        let plan = self.plan(store, snap, range);
-        for planned in &plan.cubes {
-            if planned.source == CubeSource::Empty {
-                stats.empty_days += 1;
-            } else {
-                items.push((slot, date_key, planned.period));
-            }
-        }
-    }
-
-    /// Fetch one planned cube from its store and fold its selected cells
-    /// into `groups`.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_and_aggregate(
-        &self,
-        routed: &[(&'a TemporalIndex, Arc<CatalogVersion>)],
-        slot: usize,
-        period: Period,
-        selection: &DimSelection,
-        q: &AnalysisQuery,
-        date_key: Option<Period>,
-        groups: &mut HashMap<GroupKey, u64>,
-    ) -> Result<FetchOutcome, QueryError> {
-        // `slot` indexes `routed` by construction; a typed error beats a
-        // panic if that invariant ever drifts.
-        let (store, snap) = routed.get(slot).ok_or(QueryError::PlanRace(period))?;
-        let (cube, outcome) =
-            store.fetch_at(snap, period)?.ok_or(QueryError::PlanRace(period))?;
-        cube.for_each_selected(selection, |et, c, r, u, v| {
-            *groups.entry(cell_group_key(q, date_key, et, c, r, u)).or_insert(0) += v;
-        });
-        Ok(outcome)
-    }
-
-    /// Sequential phase 2: one pass over the items on the calling thread.
-    fn run_sequential(
-        &self,
-        routed: &[(&'a TemporalIndex, Arc<CatalogVersion>)],
-        items: &[(usize, Option<Period>, Period)],
-        selection: &DimSelection,
-        q: &AnalysisQuery,
-        stats: &mut QueryStats,
-    ) -> Result<HashMap<GroupKey, u64>, QueryError> {
-        let mut groups = HashMap::new();
-        for (slot, date_key, period) in items {
-            match self
-                .fetch_and_aggregate(routed, *slot, *period, selection, q, *date_key, &mut groups)?
-            {
-                FetchOutcome::Cache => stats.cubes_from_cache += 1,
-                FetchOutcome::Disk => stats.cubes_from_disk += 1,
-            }
-        }
-        stats.io_critical = self.unit_io_cost() * stats.cubes_from_disk as u32;
-        Ok(groups)
-    }
-
-    /// Parallel phase 2: stride-partition the items over a bounded
-    /// `thread::scope` pool. Each worker aggregates into a private map;
-    /// workers' maps merge by commutative addition, so the result equals
-    /// the sequential map regardless of scheduling.
-    fn run_parallel(
-        &self,
-        routed: &[(&'a TemporalIndex, Arc<CatalogVersion>)],
-        items: &[(usize, Option<Period>, Period)],
+        pinned: &Pinned<'_>,
+        items: &[Item],
         selection: &DimSelection,
         q: &AnalysisQuery,
         stats: &mut QueryStats,
     ) -> Result<HashMap<GroupKey, u64>, QueryError> {
         type WorkerOut = Result<(HashMap<GroupKey, u64>, usize, usize), QueryError>;
-        let workers = self.threads.min(items.len());
-        let merged: Mutex<Vec<(usize, WorkerOut)>> =
-            Mutex::new_named(Vec::with_capacity(workers), "query.exec_merge");
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut groups: HashMap<GroupKey, u64> = HashMap::new();
-                    let (mut from_cache, mut from_disk) = (0usize, 0usize);
-                    let mut verdict: Result<(), QueryError> = Ok(());
-                    for (slot, date_key, period) in items.iter().skip(w).step_by(workers) {
-                        match self.fetch_and_aggregate(
-                            routed, *slot, *period, selection, q, *date_key, &mut groups,
-                        ) {
-                            Ok(FetchOutcome::Cache) => from_cache += 1,
-                            Ok(FetchOutcome::Disk) => from_disk += 1,
-                            Err(e) => {
-                                verdict = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    merged.lock().push((w, verdict.map(|()| (groups, from_cache, from_disk))));
+        let workers = self.threads.min(items.len()).max(1);
+        let work = |w: usize| -> WorkerOut {
+            let mut groups: HashMap<GroupKey, u64> = HashMap::new();
+            let (mut from_cache, mut from_disk) = (0usize, 0usize);
+            for &(shard, date_key, period) in items.iter().skip(w).step_by(workers) {
+                let pin = pinned.get(shard).ok_or(QueryError::PlanRace(period))?;
+                let (cube, outcome) =
+                    pin.store.fetch_at(&pin.snap, period)?.ok_or(QueryError::PlanRace(period))?;
+                cube.for_each_selected(selection, |et, c, r, u, v| {
+                    *groups.entry(cell_group_key(q, date_key, et, c, r, u)).or_insert(0) += v;
                 });
+                match outcome {
+                    FetchOutcome::Cache => from_cache += 1,
+                    FetchOutcome::Disk => from_disk += 1,
+                }
             }
-        });
-        let mut outputs = std::mem::take(&mut *merged.lock());
-        // Deterministic error selection: lowest worker index wins.
-        outputs.sort_by_key(|(w, _)| *w);
+            Ok((groups, from_cache, from_disk))
+        };
+        let outputs: Vec<WorkerOut> = if workers == 1 {
+            vec![work(0)]
+        } else {
+            let merged: Mutex<Vec<(usize, WorkerOut)>> =
+                Mutex::new_named(Vec::with_capacity(workers), "query.exec_merge");
+            std::thread::scope(|scope| {
+                for w in 0..workers {
+                    let (merged, work) = (&merged, &work);
+                    scope.spawn(move || merged.lock().push((w, work(w))));
+                }
+            });
+            let mut outputs = std::mem::take(&mut *merged.lock());
+            outputs.sort_by_key(|(w, _)| *w);
+            outputs.into_iter().map(|(_, out)| out).collect()
+        };
         let mut groups: HashMap<GroupKey, u64> = HashMap::new();
         let mut critical_fetches = 0usize;
-        for (_w, out) in outputs {
+        for out in outputs {
             let (worker_groups, from_cache, from_disk) = out?;
             stats.cubes_from_cache += from_cache;
             stats.cubes_from_disk += from_disk;
@@ -434,21 +320,8 @@ impl<'a> QueryEngine<'a> {
                 *groups.entry(key).or_insert(0) += count;
             }
         }
-        stats.io_critical = self.unit_io_cost() * critical_fetches as u32;
+        stats.io_critical = pinned.page_cost() * critical_fetches as u32;
         Ok(groups)
-    }
-
-    /// The modeled cost of one cube-page read — the unit `io_critical` is
-    /// denominated in. Shards share one cost model + page size, so the
-    /// first store's is representative.
-    fn unit_io_cost(&self) -> std::time::Duration {
-        match self.stores.first() {
-            Some(store) => {
-                let file = store.file();
-                file.cost_model().cost(file.page_size() as u64)
-            }
-            None => std::time::Duration::ZERO,
-        }
     }
 
     /// Execute a bbox-filtered query. With a bank, interior cover cells
@@ -490,14 +363,10 @@ impl<'a> QueryEngine<'a> {
         // the banked path's boundary/fallback cells) are physical I/O of
         // this query, charged like cube fetches. Scans run serially on the
         // caller thread, so the full modeled delta sits on the critical
-        // path. Same caveat as the bank-shard deltas above: counters are
-        // shared, so concurrent queries' I/O can be co-attributed.
+        // path. Counters are shared, so concurrent queries' I/O can be
+        // co-attributed.
         let wh_delta = sp.warehouse.io_snapshot().since(&wh_before);
-        stats.io.reads += wh_delta.reads;
-        stats.io.writes += wh_delta.writes;
-        stats.io.bytes_read += wh_delta.bytes_read;
-        stats.io.bytes_written += wh_delta.bytes_written;
-        stats.io.modeled = stats.io.modeled.saturating_add(wh_delta.modeled);
+        stats.io += wh_delta;
         stats.io_critical = stats.io_critical.saturating_add(wh_delta.modeled);
 
         let mut result = agg.finish();
@@ -524,39 +393,12 @@ impl<'a> QueryEngine<'a> {
         let cover = grid.cover(&bbox);
 
         // Pin one snapshot per band shard the interior cells route to.
-        let mut snaps: HashMap<usize, Arc<CatalogVersion>> = HashMap::new();
-        let mut io_before: HashMap<usize, IoSnapshot> = HashMap::new();
-        for &cell in &cover.interior {
-            let s = bank.shard_of(cell);
-            if !snaps.contains_key(&s) {
-                if let (Some(snap), Some(store)) = (bank.snapshot(s), bank.stores().get(s)) {
-                    io_before.insert(s, store.file().stats().snapshot());
-                    snaps.insert(s, snap);
-                }
-            }
-        }
-        stats.epoch = snaps.values().map(|snap| snap.epoch()).sum();
-
-        // Date-group sub-windows (same structure as the temporal path):
-        // every planned block lies inside exactly one group period, so a
-        // month block can only serve a month-or-coarser group.
-        let mut windows: Vec<(Option<Period>, DateRange)> = Vec::new();
-        match q.date_granularity() {
-            None => windows.push((None, q.range)),
-            Some(g) => {
-                let mut p = Period::containing(g, q.range.start());
-                while p.start() <= q.range.end() {
-                    let Some(sub) = p.range().intersect(q.range) else { break };
-                    windows.push((Some(p), sub));
-                    p = p.succ();
-                }
-            }
-        }
+        let bands = bank.set();
+        let pinned = bands.pin(bands.route(cover.interior.iter().copied()));
+        stats.epoch = pinned.epoch();
 
         let probe = |cell: CellId, p: Period| {
-            snaps
-                .get(&bank.shard_of(cell))
-                .is_some_and(|snap| bank.has_block(snap, cell, p))
+            pinned.get(bank.shard_of(cell)).is_some_and(|pin| bank.has_block(&pin.snap, cell, p))
         };
         let lattice = LatticePlanner::new(&probe);
         // One marker-registry snapshot for the whole plan: a (cell, day)
@@ -564,8 +406,11 @@ impl<'a> QueryEngine<'a> {
         // needs neither a fetch nor a scan.
         let marker = bank.marker_snapshot();
 
-        for (date_key, sub) in &windows {
-            let plan = lattice.plan_viewport(&cover.interior, *sub);
+        // Date-group sub-windows (same structure as the temporal path):
+        // every planned block lies inside exactly one group period, so a
+        // month block can only serve a month-or-coarser group.
+        for (date_key, sub) in windows(q) {
+            let plan = lattice.plan_viewport(&cover.interior, sub);
             // Scan fallbacks batch into maximal per-cell day runs (the
             // plan emits a cell's days in order).
             let mut scan_runs: Vec<(CellId, Date, Date)> = Vec::new();
@@ -573,16 +418,16 @@ impl<'a> QueryEngine<'a> {
                 match b.source {
                     BlockSource::Block => {
                         let s = bank.shard_of(b.cell);
-                        let Some(snap) = snaps.get(&s) else { continue };
+                        let Some(pin) = pinned.get(s) else { continue };
                         let (block, outcome) = bank
-                            .fetch_block_traced(s, snap, b.cell, b.period)?
+                            .fetch_block_traced(s, &pin.snap, b.cell, b.period)?
                             .ok_or(QueryError::PlanRace(b.period))?;
                         match outcome {
                             FetchOutcome::Cache => stats.blocks_from_cache += 1,
                             FetchOutcome::Disk => stats.blocks_from_disk += 1,
                         }
                         block.for_each_selected(selection, |et, c, r, u, v| {
-                            agg.push_count(cell_group_key(q, *date_key, et, c, r, u), v);
+                            agg.push_count(cell_group_key(q, date_key, et, c, r, u), v);
                         });
                     }
                     BlockSource::Scan => {
@@ -613,23 +458,30 @@ impl<'a> QueryEngine<'a> {
             scan_cell(sp, grid, cell, q.range, agg, stats)?;
         }
 
-        for (s, before) in &io_before {
-            if let Some(store) = bank.stores().get(*s) {
-                let delta = store.file().stats().snapshot().since(before);
-                stats.io.reads += delta.reads;
-                stats.io.writes += delta.writes;
-                stats.io.bytes_read += delta.bytes_read;
-                stats.io.bytes_written += delta.bytes_written;
-                stats.io.modeled = stats.io.modeled.saturating_add(delta.modeled);
-            }
-        }
-        if let Some(store) = bank.stores().first() {
-            let file = store.file();
-            stats.io_critical =
-                file.cost_model().cost(file.page_size() as u64) * stats.blocks_from_disk as u32;
-        }
+        stats.io += pinned.io_since();
+        stats.io_critical = pinned.page_cost() * stats.blocks_from_disk as u32;
         Ok(())
     }
+}
+
+/// One planned fetch: (shard, date group, period).
+type Item = (usize, Option<Period>, Period);
+
+/// The query's date-group windows: the whole range ungrouped, or each
+/// period of the grouping granularity clipped to the range, so partial
+/// periods at the edges only count in-range days.
+fn windows(q: &AnalysisQuery) -> Vec<(Option<Period>, DateRange)> {
+    let Some(g) = q.date_granularity() else { return vec![(None, q.range)] };
+    let mut out = Vec::new();
+    let mut p = Period::containing(g, q.range.start());
+    while p.start() <= q.range.end() {
+        // The loop condition keeps p overlapping q.range, but a typed
+        // break beats a panic if Period arithmetic drifts.
+        let Some(sub) = p.range().intersect(q.range) else { break };
+        out.push((Some(p), sub));
+        p = p.succ();
+    }
+    out
 }
 
 /// Scan one cell's rows for `days` and push them through the aggregator.

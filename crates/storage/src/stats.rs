@@ -72,6 +72,17 @@ impl IoSnapshot {
     }
 }
 
+impl std::ops::AddAssign for IoSnapshot {
+    /// Accumulate another operation's counters (saturating on `modeled`).
+    fn add_assign(&mut self, other: IoSnapshot) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.modeled = self.modeled.saturating_add(other.modeled);
+    }
+}
+
 /// Deterministic I/O latency model: every physical operation costs one seek
 /// plus transfer time at a fixed bandwidth.
 ///

@@ -105,6 +105,33 @@ fn http_endpoints_respond_over_one_keep_alive_connection() {
     ts.stop().unwrap();
 }
 
+/// `spatial.unmarked_days` counts days the cube index committed but the
+/// spatial bank never marked: zero after a normal ingest, every indexed
+/// day once the bank is lost and the store reopens with a fresh one.
+#[test]
+fn metrics_count_indexed_days_the_bank_never_marked() {
+    let (_dir, system) = demo_system("unmarked");
+    let ts = TestServer::start(Arc::clone(&system), test_config());
+    let body = http_get(ts.addr, "/api/metrics").unwrap().body;
+    assert!(body.contains("\"unmarked_days\":0"), "{body}");
+    ts.stop().unwrap();
+
+    let indexed = DateRange::new(Date::new(2021, 1, 1).unwrap(), Date::new(2021, 1, 31).unwrap())
+        .days()
+        .filter(|d| system.index().has(rased_core::Period::Day(*d)))
+        .count();
+    assert!(indexed > 0);
+    let dir = system.config().dir.clone();
+    system.sync().unwrap();
+    drop(system);
+    std::fs::remove_dir_all(dir.join("spatial")).unwrap();
+    let reopened = Arc::new(Rased::open(RasedConfig::load(&dir).unwrap()).unwrap());
+    let ts = TestServer::start(reopened, test_config());
+    let body = http_get(ts.addr, "/api/metrics").unwrap().body;
+    assert!(body.contains(&format!("\"unmarked_days\":{indexed}")), "{body}");
+    ts.stop().unwrap();
+}
+
 #[test]
 fn http_errors_are_reported() {
     let (_dir, system) = demo_system("errors");
@@ -293,7 +320,7 @@ fn ingest_endpoint_is_confined_to_the_data_root() {
 }
 
 /// Shutdown must not require a sacrificial connection: the stop handle
-/// wakes the blocking acceptor deterministically.
+/// wakes the event loop deterministically.
 #[test]
 fn shutdown_without_any_connection_is_prompt() {
     let (_dir, system) = demo_system("shutdown");
