@@ -9,6 +9,8 @@
 //!   (flat daily index, no caching, no level optimization), RASED-O
 //!   (hierarchy + level optimizer, no caching), and full RASED.
 
+#![forbid(unsafe_code)]
+
 mod dbms;
 mod variants;
 

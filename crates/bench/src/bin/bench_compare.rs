@@ -16,6 +16,8 @@
 //! With fewer than two committed points the gate prints a notice and
 //! passes; a brand-new repo has no trajectory to defend.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::httpc::{json_float_field, json_uint_field};
 use std::error::Error;
 use std::process::Command;

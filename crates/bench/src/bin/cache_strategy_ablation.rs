@@ -9,6 +9,8 @@
 //! stream (it never wastes slots on one-off old cubes); LRU catches up as
 //! capacity grows and adapts better when the stream drifts to old windows.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, fmt_duration, one_cell_query, Workload};
 use rased_core::{CacheConfig, CacheStrategy, IoCostModel, QueryEngine, TemporalIndex};
 use rased_osm_gen::rng::Rng;

@@ -14,6 +14,8 @@
 //! is sequential, so its heap is charged transfer-dominated I/O
 //! (0.1 ms + 150 MB/s) — crediting the baseline, not handicapping it.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, fmt_duration, one_cell_query, Workload};
 use rased_baseline::DbmsBaseline;
 use rased_core::{CacheConfig, IoCostModel, QueryEngine, TemporalIndex};

@@ -18,6 +18,8 @@
 //!
 //! [`QueryStats::modeled_response`]: rased_query::QueryStats::modeled_response
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, build_index, fmt_duration, one_cell_query, random_windows, Workload};
 use rased_bench::harness::Harness;
 use rased_core::{CacheConfig, CacheStrategy, IoCostModel, QueryEngine, TemporalIndex};

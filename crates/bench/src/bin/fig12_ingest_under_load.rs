@@ -11,6 +11,8 @@
 //! `BENCH_MEASURE_MS` shrinks the datasets and the per-mode query budget
 //! for CI smoke runs (default 200 ms per mode).
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, fmt_duration};
 use rased_bench::harness::{Harness, LatencyProfile};
 use rased_core::{CubeSchema, IngestController, IngestPhase, Rased, RasedConfig};

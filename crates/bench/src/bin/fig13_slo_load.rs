@@ -58,6 +58,8 @@
 //! against a month-scale baseline and persists `BENCH_fig13.json` into the
 //! current directory — the checked-in perf trajectory.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::bench_dir;
 use rased_bench::harness::Harness;
 use rased_bench::httpc::{json_uint_field, HttpClient};
@@ -78,6 +80,11 @@ use std::time::{Duration, Instant};
 /// Workload base seed: every user stream derives from it, so two runs of
 /// the same binary issue byte-identical request sequences.
 const SEED: u64 = 0x0F13_2026;
+
+/// Cache-probe samples per path (misses, then hits). A nearest-rank p99
+/// over `n` samples leaves `n - ceil(0.99 n)` samples beyond it; 1000
+/// leaves ten, so the hit-vs-miss p99 gate compares tails, not maxima.
+const PROBE_SAMPLES: usize = 1000;
 
 /// One measured request.
 #[derive(Debug, Clone, Copy)]
@@ -115,8 +122,6 @@ struct Params {
     max_active_per_client: usize,
     shed_threshold: usize,
     burst_requests: usize,
-    probe_misses: usize,
-    probe_hits: usize,
     /// Open-loop phase: offered arrival rate (requests/second) …
     ol_rate: u64,
     /// … sustained for this long …
@@ -140,8 +145,6 @@ impl Params {
                 max_active_per_client: 1,
                 shed_threshold: 3,
                 burst_requests: 6,
-                probe_misses: 6,
-                probe_hits: 40,
                 ol_rate: 60,
                 ol_secs: Duration::from_millis(250),
                 ol_threads: 2,
@@ -156,8 +159,6 @@ impl Params {
                 max_active_per_client: 1,
                 shed_threshold: 6,
                 burst_requests: 25,
-                probe_misses: 12,
-                probe_hits: 150,
                 ol_rate: 150,
                 ol_secs: Duration::from_secs(3),
                 ol_threads: 4,
@@ -328,7 +329,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Cache probe on the now-quiet server: cold misses vs. repeat hits on
     // one fixed key, sequentially over one connection with its own
     // identity (admission never interferes).
-    let probe = run_cache_probe(addr, &burst_target, p.probe_misses, p.probe_hits);
+    let probe = run_cache_probe(addr, &burst_target, PROBE_SAMPLES, PROBE_SAMPLES);
 
     // The server's own view of admission and the response cache, straight
     // off `/api/metrics` — the harness reads shed and hit counters from
@@ -496,17 +497,20 @@ fn run_cache_probe(addr: SocketAddr, target: &str, misses: usize, hits: usize) -
     };
     let mut out = ProbeResult::default();
     let mut reference: Option<String> = None;
+    // The hits replay the *last* miss: the most recently inserted entry,
+    // which the misses before it cannot have evicted from the cache.
+    let last = misses.saturating_sub(1);
     for i in 0..misses {
         let path = format!("{target}&cb=probe-{i}");
         let t0 = Instant::now();
         if let Some(resp) = get(&path) {
             out.miss_lat.push(t0.elapsed().as_micros() as u64);
-            if i == 0 {
+            if i == last {
                 reference = Some(resp.body);
             }
         }
     }
-    let fixed = format!("{target}&cb=probe-0");
+    let fixed = format!("{target}&cb=probe-{last}");
     for _ in 0..hits {
         let t0 = Instant::now();
         if let Some(resp) = get(&fixed) {

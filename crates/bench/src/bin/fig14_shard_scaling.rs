@@ -32,6 +32,8 @@
 //!
 //! [`QueryStats::modeled_response`]: rased_query::QueryStats::modeled_response
 
+#![forbid(unsafe_code)]
+
 use rased_bench::harness::Harness;
 use rased_bench::{bench_dir, build_sharded_index, fmt_duration, one_cell_query, random_windows, Workload};
 use rased_core::{

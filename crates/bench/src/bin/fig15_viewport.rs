@@ -40,6 +40,8 @@
 //! workload, 4 viewports). Writes `BENCH_fig15.json` (scratch dir in
 //! smoke, repo cwd in full).
 
+#![forbid(unsafe_code)]
+
 use rased_bench::harness::Harness;
 use rased_bench::{bench_dir, fmt_duration, RecordSynth, Workload};
 use rased_core::{

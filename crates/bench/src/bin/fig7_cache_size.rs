@@ -10,6 +10,8 @@
 //! sizes divide by its ~4 MB cube. Queries favor recent windows (the
 //! premise of the recency cache, §VII-A).
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, fmt_duration, one_cell_query, Workload};
 use rased_core::{CacheConfig, CacheStrategy, IoCostModel, QueryEngine, TemporalIndex};
 use rased_osm_gen::rng::Rng;

@@ -9,6 +9,8 @@
 //! smaller 20 × 10 schema keeps the 20 builds quick — storage *ratios*
 //! depend only on cube counts, not cube size.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, Workload};
 use rased_core::{CacheConfig, CubeSchema, IoCostModel};
 use std::error::Error;

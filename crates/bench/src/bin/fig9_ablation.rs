@@ -13,6 +13,8 @@
 //! with `levels = 1` (its planner then only sees daily cubes) or
 //! `levels = 4`, with the cache disabled or enabled.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, fmt_duration, one_cell_query, Workload};
 use rased_baseline::RasedVariant;
 use rased_core::{IoCostModel, QueryEngine, TemporalIndex};

@@ -10,6 +10,8 @@
 //! cube instead of keeping it pinned — the bound, not the constant, is the
 //! claim.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, RecordSynth, Workload};
 use rased_core::{CacheConfig, DataCube, IoCostModel, TemporalIndex};
 use std::error::Error;

@@ -5,6 +5,8 @@
 //! measures the disk-fetch gap between the two across window lengths and
 //! cache states.
 
+#![forbid(unsafe_code)]
+
 use rased_bench::{bench_dir, random_windows, Workload};
 use rased_core::{CacheConfig, CacheStrategy, IoCostModel, TemporalIndex};
 use rased_index::{with_planner, PlannerKind};

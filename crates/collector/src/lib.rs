@@ -18,6 +18,8 @@
 //! Elements without a recognized `highway=*` tag are outside RASED's road
 //! network scope and are skipped (counted in [`CrawlStats`]).
 
+#![forbid(unsafe_code)]
+
 mod daily;
 mod monthly;
 

@@ -23,6 +23,8 @@
 //! println!("{} countries, {} updates", result.rows.len(), result.total_count());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod exec_config;
 mod ingest;
 mod ingest_controller;

@@ -12,6 +12,8 @@
 //! taxonomy cardinalities are parameters of [`CubeSchema`] so tests and
 //! benchmarks can scale the cube without touching any algorithm.
 
+#![forbid(unsafe_code)]
+
 mod schema;
 mod cube;
 mod selection;

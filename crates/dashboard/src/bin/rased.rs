@@ -15,6 +15,8 @@
 //! rased demo     --dir DIR  (generate + ingest + serve in one step)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rased_core::{CubeSchema, IngestController, IngestPhase, Rased, RasedConfig, ServerConfig};
 use rased_dashboard::{charts, parse_analysis_query, DashboardServer};
 use rased_osm_gen::{Dataset, DatasetConfig};

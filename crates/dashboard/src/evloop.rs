@@ -38,18 +38,31 @@
 //! `408` (silently closed when no request bytes arrived) after
 //! `read_timeout`.
 //!
-//! Shutdown: [`crate::StopHandle::stop`] sets the flag and nudges the
-//! listener; the loop stops accepting, lets every open connection finish
-//! the request it is on (`Connection: close` is forced), reaps the rest
-//! by timeout, closes the job bridge, and returns once no connection
-//! remains — the worker scope joins every thread before `serve` returns.
+//! Waiting: when an iteration makes no progress, the loop blocks in one
+//! `poll(2)` call ([`crate::poll`]) over exactly the descriptors that can
+//! produce work — the listener (`POLLIN`), every `Reading` connection
+//! (`POLLIN`), every `Writing` connection (`POLLOUT`), and the read end of
+//! a wake channel. `Executing` connections are not watched: their socket
+//! can say nothing the loop would act on (a half-closed client would
+//! report readable forever), and their completion arrives over the wake
+//! channel instead — a worker pushes its completion, *then* writes one
+//! byte; the loop drains the channel, *then* takes the completions, so a
+//! wake can never be lost between the two. The timeout is the nearest
+//! `read_timeout`/`write_timeout` deadline among open connections, which
+//! keeps `408`s, idle expiry and stalled-writer reaping as precise as the
+//! deadlines themselves. Under load the loop never waits: it keeps
+//! iterating while iterations make progress.
 //!
-//! The loop polls with a short sleep only when an iteration made no
-//! progress; under load it spins productively without sleeping.
+//! Shutdown: [`crate::StopHandle::stop`] sets the flag and writes to the
+//! same wake channel; the loop stops accepting, lets every open connection
+//! finish the request it is on (`Connection: close` is forced), reaps the
+//! rest by timeout, closes the job bridge, and returns once no connection
+//! remains — the worker scope joins every thread before `serve` returns.
 
 use crate::admission::Permit;
 use crate::http::{read_request, write_response, Limits, Request};
 use crate::metrics::Endpoint;
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::respcache::{CachedResponse, RespKey};
 use crate::server::DashboardServer;
 use rased_core::{Router, ShardSet};
@@ -57,13 +70,10 @@ use rased_storage::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Sleep per idle iteration. Short enough that timeout precision and
-/// shutdown latency stay well under test tolerances; long enough that an
-/// idle server burns ~no CPU.
-const POLL_SLEEP: Duration = Duration::from_micros(500);
 
 /// Per-iteration read chunk.
 const SCRATCH_BYTES: usize = 16 * 1024;
@@ -116,6 +126,56 @@ impl Conn {
             close_after_write: false,
             eof: false,
             dead: false,
+        }
+    }
+}
+
+/// The sending end of the event loop's wake channel: one byte means
+/// "something changed, look again".
+#[derive(Clone)]
+pub(crate) struct Waker(Arc<UnixStream>);
+
+impl Waker {
+    /// Wake the loop. A full channel (`WouldBlock`) already holds a
+    /// pending wake, so the byte is dropped.
+    pub(crate) fn wake(&self) {
+        while let Err(e) = (&*self.0).write(&[1]) {
+            if e.kind() != std::io::ErrorKind::Interrupted {
+                return;
+            }
+        }
+    }
+}
+
+/// Both ends of the wake channel, nonblocking: workers and
+/// [`crate::StopHandle`] write through [`Waker`]s, the loop polls and
+/// drains the read end.
+pub(crate) struct WakeChannel {
+    rx: UnixStream,
+    tx: Waker,
+}
+
+impl WakeChannel {
+    pub(crate) fn new() -> std::io::Result<WakeChannel> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(WakeChannel { rx, tx: Waker(Arc::new(tx)) })
+    }
+
+    pub(crate) fn waker(&self) -> Waker {
+        self.tx.clone()
+    }
+
+    /// Consume every pending wake byte.
+    fn drain(&self) {
+        let mut buf = [0u8; 64];
+        loop {
+            match (&self.rx).read(&mut buf) {
+                Ok(n) if n > 0 => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                _ => return,
+            }
         }
     }
 }
@@ -198,8 +258,10 @@ impl<'a> Bridge<'a> {
         self.done.lock().push(completion);
     }
 
-    fn drain_completions(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.done.lock())
+    /// Move every finished render into `out` (which must be empty); the
+    /// two buffers trade places, so neither side allocates once warm.
+    fn drain_completions(&self, out: &mut Vec<Completion>) {
+        std::mem::swap(&mut *self.done.lock(), out);
     }
 }
 
@@ -233,7 +295,10 @@ fn worker_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) {
         // slow-draining client cannot sit on admission capacity.
         drop(permit);
         server.metrics.worker_idle();
+        // Push, then wake: the loop drains the channel before it takes
+        // completions, so this one is seen by the current pass or the next.
         bridge.finish(Completion { conn_id, endpoint, start, keep, resp });
+        server.wake.tx.wake();
     }
 }
 
@@ -258,13 +323,17 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
     let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let mut finished: Vec<Completion> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
+        // Drain wakes before reading the stop flag and the completions: a
+        // wake sent after this point stays pending and ends the next wait.
+        server.wake.drain();
         let stopped = server.stop.load(Ordering::SeqCst);
         let mut progress = false;
 
         // 1. Accept everything pending. When stopped, accepted sockets
-        //    (the shutdown nudge, or clients racing it) are dropped
-        //    uncounted.
+        //    (clients racing the shutdown) are dropped uncounted.
         loop {
             match server.listener.accept() {
                 Ok((stream, _)) => {
@@ -318,7 +387,8 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
         // 2. Deliver finished renders: record, then queue wire bytes —
         //    record-before-write is preserved because the socket write
         //    strictly follows.
-        for done in bridge.drain_completions() {
+        bridge.drain_completions(&mut finished);
+        for done in finished.drain(..) {
             progress = true;
             let Some(conn) = conns.get_mut(done.conn_id).and_then(|slot| slot.as_mut()) else {
                 continue;
@@ -352,10 +422,40 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
             return Ok(());
         }
         if !progress {
-            // lint: allow(nonblocking, "bounded poll backoff: POLL_SLEEP is 500us, taken only when no socket or completion made progress")
-            std::thread::sleep(POLL_SLEEP);
+            wait_for_work(server, &conns, &mut fds)?;
         }
     }
+}
+
+/// Block until the listener, a `Reading`/`Writing` connection or the wake
+/// channel is ready, or the nearest connection deadline passes. `fds` is
+/// reused across calls, so a warm loop allocates nothing here.
+fn wait_for_work(
+    server: &DashboardServer,
+    conns: &[Option<Conn>],
+    fds: &mut Vec<PollFd>,
+) -> std::io::Result<()> {
+    fds.clear();
+    fds.push(PollFd::new(&server.listener, POLLIN));
+    fds.push(PollFd::new(&server.wake.rx, POLLIN));
+    let mut deadline: Option<Instant> = None;
+    for conn in conns.iter().flatten() {
+        let (events, limit) = match conn.state {
+            ConnState::Reading => (POLLIN, server.config.read_timeout),
+            ConnState::Writing => (POLLOUT, server.config.write_timeout),
+            ConnState::Executing => continue, // its completion wakes the loop
+        };
+        fds.push(PollFd::new(&conn.stream, events));
+        if let Some(due) = conn.last_activity.checked_add(limit) {
+            deadline = Some(deadline.map_or(due, |d| d.min(due)));
+        }
+    }
+    let started = Instant::now();
+    let timeout = deadline.map(|d| d.saturating_duration_since(started));
+    // lint: allow(nonblocking, "the loop's one wait: bounded by the nearest read/write deadline, ended early by socket readiness or a wake byte")
+    crate::poll::poll(fds, timeout)?;
+    server.metrics.evloop_wait(started.elapsed());
+    Ok(())
 }
 
 /// Drive one connection as far as it will go without blocking. Returns

@@ -21,6 +21,8 @@
 //!   `GET /api/metrics`, and an embedded single-page dashboard at `/`;
 //! * the `rased` CLI binary — generate / ingest / query / serve.
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod charts;
 pub mod http;
@@ -31,6 +33,10 @@ pub mod server;
 
 mod api;
 mod evloop;
+// The workspace's one `unsafe` block: the event loop's `poll(2)` call.
+// Everything else in the crate is compiled under `deny(unsafe_code)`.
+#[allow(unsafe_code)]
+mod poll;
 
 pub use api::{
     form_urlencode, parse_analysis_query, parse_query_string, result_to_json, url_decode, ApiError,

@@ -107,6 +107,10 @@ pub struct ServerMetrics {
     latency_buckets: [AtomicU64; LATENCY_BUCKETS_MICROS.len() + 1],
     /// Sum of request latencies in µs (mean = total / requests).
     latency_total_micros: AtomicU64,
+    /// Blocking waits the event loop took (one per `poll(2)` call).
+    evloop_waits: AtomicU64,
+    /// Total time the event loop spent blocked in those waits, in µs.
+    evloop_wait_micros: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -175,6 +179,24 @@ impl ServerMetrics {
             .unwrap_or(LATENCY_BUCKETS_MICROS.len());
         self.latency_buckets[bi].fetch_add(1, Relaxed);
         self.latency_total_micros.fetch_add(micros, Relaxed);
+    }
+
+    /// The event loop came back from one blocking wait of `blocked`.
+    pub fn evloop_wait(&self, blocked: Duration) {
+        self.evloop_waits.fetch_add(1, Relaxed);
+        let micros = blocked.as_micros().min(u128::from(u64::MAX)) as u64;
+        self.evloop_wait_micros.fetch_add(micros, Relaxed);
+    }
+
+    /// Blocking waits the event loop has taken. An idle server takes about
+    /// one per connection deadline; a loop that spins takes thousands.
+    pub fn evloop_waits(&self) -> u64 {
+        self.evloop_waits.load(Relaxed)
+    }
+
+    /// Total µs the event loop has spent blocked.
+    pub fn evloop_wait_micros(&self) -> u64 {
+        self.evloop_wait_micros.load(Relaxed)
     }
 
     /// Connections accepted so far (tests use this to sequence shutdown).
@@ -266,6 +288,7 @@ impl ServerMetrics {
     ///   "connections": {"accepted":N,"active":N,"max_active":N,"completed":N,
     ///                   "queue_full_rejections":N,"timeouts":N},
     ///   "workers": {"busy":N,"max_busy":N},
+    ///   "evloop": {"waits":N,"wait_us":N},
     ///   "requests": {"total":N,"status":{"1xx":N,...,"5xx":N}},
     ///   "endpoints": {"/":N,"/api/meta":N,...,"other":N},
     ///   "latency_micros": {"total":N,"p50_est":N,"p99_est":N,"p999_est":N,
@@ -277,6 +300,9 @@ impl ServerMetrics {
     /// `sync.poison_recoveries` counts lock acquisitions (process-wide)
     /// that recovered a lock poisoned by a panicking holder — panics a
     /// poison-transparent lock survives must be visible, not silent.
+    /// `evloop.waits` counts the event loop's blocking `poll(2)` waits and
+    /// `evloop.wait_us` the time spent in them: an idle server's count
+    /// barely moves, so a loop that spins shows at a glance.
     pub fn to_json(&self) -> String {
         let mut j = Json::new();
         j.begin_object();
@@ -300,6 +326,11 @@ impl ServerMetrics {
         j.key("workers").begin_object();
         j.kv_uint("busy", self.busy_workers());
         j.kv_uint("max_busy", self.max_busy_workers());
+        j.end_object();
+
+        j.key("evloop").begin_object();
+        j.kv_uint("waits", self.evloop_waits());
+        j.kv_uint("wait_us", self.evloop_wait_micros());
         j.end_object();
 
         j.key("requests").begin_object();

@@ -40,14 +40,15 @@
 //! per-request read/write timeouts and parse limits (see
 //! [`rased_core::ServerConfig`]); a stalled client is reaped by the event
 //! loop's deadline scan, answered `408`, and closed. [`StopHandle::stop`]
-//! initiates graceful shutdown: the loop is woken deterministically, stops
-//! accepting, in-flight requests drain (each open connection may finish
-//! the request it is on, with `Connection: close`), and
-//! [`DashboardServer::serve`] returns only after every worker has been
-//! joined.
+//! initiates graceful shutdown: the loop is woken through its wake
+//! channel, stops accepting, in-flight requests drain (each open
+//! connection may finish the request it is on, with `Connection: close`),
+//! and [`DashboardServer::serve`] returns only after every worker has
+//! been joined.
 
 use crate::admission::AdmissionControl;
 use crate::api::{parse_analysis_query, parse_query_string, result_to_json};
+use crate::evloop::{WakeChannel, Waker};
 use crate::http::{write_response, Request};
 use crate::json::Json;
 use crate::metrics::{Endpoint, ServerMetrics};
@@ -55,7 +56,7 @@ use crate::respcache::ResponseCache;
 use rased_core::{IngestController, Rased, ServerConfig};
 use rased_geo::BBox;
 use std::borrow::Cow;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -64,6 +65,9 @@ pub struct DashboardServer {
     pub(crate) system: Arc<Rased>,
     pub(crate) listener: TcpListener,
     pub(crate) stop: Arc<AtomicBool>,
+    /// Ends the event loop's wait: written by workers on completion and
+    /// by [`StopHandle::stop`].
+    pub(crate) wake: WakeChannel,
     pub(crate) config: ServerConfig,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) admission: AdmissionControl,
@@ -74,13 +78,13 @@ pub struct DashboardServer {
 
 /// Requests [`DashboardServer::serve`] to shut down gracefully.
 ///
-/// [`StopHandle::stop`] sets the stop flag and then *wakes the acceptor
-/// deterministically* with a loopback connect, so shutdown never waits for
-/// a sacrificial client connection.
+/// [`StopHandle::stop`] sets the stop flag and then writes to the event
+/// loop's wake channel, so a loop blocked in `poll(2)` sees the flag at
+/// once — shutdown never waits for a deadline or a client connection.
 #[derive(Clone)]
 pub struct StopHandle {
     stop: Arc<AtomicBool>,
-    addr: Option<SocketAddr>,
+    wake: Waker,
 }
 
 impl StopHandle {
@@ -88,13 +92,7 @@ impl StopHandle {
     /// requests, join all workers. Idempotent.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(mut addr) = self.addr {
-            // `0.0.0.0` is bindable but not connectable; nudge via loopback.
-            if addr.ip().is_unspecified() {
-                addr.set_ip(IpAddr::V4(Ipv4Addr::LOCALHOST));
-            }
-            let _ = TcpStream::connect(addr);
-        }
+        self.wake.wake();
     }
 
     /// Whether shutdown has been requested.
@@ -148,6 +146,7 @@ impl DashboardServer {
             system,
             listener,
             stop: Arc::new(AtomicBool::new(false)),
+            wake: WakeChannel::new()?,
             config,
             metrics: Arc::new(ServerMetrics::new()),
             admission,
@@ -203,7 +202,7 @@ impl DashboardServer {
 
     /// A handle that shuts the server down gracefully (see [`StopHandle`]).
     pub fn stop_handle(&self) -> StopHandle {
-        StopHandle { stop: Arc::clone(&self.stop), addr: self.listener.local_addr().ok() }
+        StopHandle { stop: Arc::clone(&self.stop), wake: self.wake.waker() }
     }
 
     /// Run the serving loop: the nonblocking event loop owns the listener

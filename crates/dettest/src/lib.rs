@@ -20,6 +20,8 @@
 //!   `$TMPDIR` entries (integration tests have their own in
 //!   `tests/common`).
 
+#![forbid(unsafe_code)]
+
 mod macros;
 mod rng;
 mod runner;

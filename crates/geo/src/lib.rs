@@ -11,6 +11,8 @@
 //! * [`RTree`] — an STR bulk-loaded R-tree over rectangles, used by the
 //!   polygon index to avoid scanning every country polygon per lookup.
 
+#![forbid(unsafe_code)]
+
 mod bbox;
 mod grid;
 mod gridspec;

@@ -28,6 +28,8 @@
 //!   [`CubeKey::regional`], giving viewport queries the same
 //!   page-per-answer economics as temporal ones.
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod planner;
 mod routing;

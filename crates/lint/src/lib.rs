@@ -25,6 +25,8 @@
 //! `// lint: allow(<category>, "<reason>")` on the finding's line or the
 //! line above; suppressions are counted and reported, never silent.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod callgraph;
 pub mod config;

@@ -11,6 +11,8 @@
 //! document on stdout (findings, per-crate counts, failures, notices) —
 //! `ci.sh` saves it as the `lint-findings.json` artifact.
 
+#![forbid(unsafe_code)]
+
 use rased_lint::baseline;
 use std::path::PathBuf;
 use std::process::ExitCode;

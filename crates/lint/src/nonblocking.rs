@@ -9,8 +9,10 @@
 //!
 //! * **Blocking markers** — the filesystem markers the lock pass already
 //!   knows ([`crate::locks::IO_MARKERS`]) plus unbounded-wait primitives
-//!   (`sleep`, `wait`, `recv`, and empty-args `.join()` — `Path::join`
-//!   takes an argument and is not matched).
+//!   (`sleep`, `wait`, `recv`, `poll`, and empty-args `.join()` —
+//!   `Path::join` takes an argument and is not matched). The event loop's
+//!   own readiness wait is a `poll(` call and must carry a pragma stating
+//!   what bounds it.
 //! * **Ranked-mutex acquisitions** outside the `allow_locks` list — the
 //!   event loop's own short-critical-section bridge is allowed; anything
 //!   else is a latency hazard one call away.
@@ -29,7 +31,8 @@ use crate::{locks, Category, Finding};
 use std::collections::BTreeSet;
 
 /// Identifiers that signal an unbounded wait.
-const WAIT_MARKERS: &[&str] = &["sleep", "wait", "wait_timeout", "recv", "recv_timeout", "park"];
+const WAIT_MARKERS: &[&str] =
+    &["sleep", "wait", "wait_timeout", "recv", "recv_timeout", "park", "poll"];
 
 /// Run the pass. No-op when `[nonblocking] roots` is empty.
 pub fn scan(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {

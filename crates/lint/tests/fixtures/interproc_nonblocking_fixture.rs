@@ -1,6 +1,6 @@
 //! Nonblocking-context fixture. The root `event_loop` is clean in
 //! isolation; the blocking work hides one call down where only the
-//! interprocedural pass can see it: a filesystem read in `poll`, an edge
+//! interprocedural pass can see it: a filesystem read in `refresh`, an edge
 //! into the denied entry point `route` from `dispatch`, and a pragma'd
 //! checkpoint write.
 //!
@@ -8,12 +8,12 @@
 //! calls into `app:route`.
 
 pub fn event_loop(r: Req) {
-    poll();
+    refresh();
     dispatch(r);
     checkpoint();
 }
 
-fn poll() {
+fn refresh() {
     let _ = fs::read_to_string("state.txt");
 }
 

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 
 const LOCKS_FIXTURE: &str = include_str!("fixtures/interproc_locks_fixture.rs");
 const NONBLOCKING_FIXTURE: &str = include_str!("fixtures/interproc_nonblocking_fixture.rs");
+const POLL_FIXTURE: &str = include_str!("fixtures/interproc_poll_fixture.rs");
 const REACH_APP_FIXTURE: &str = include_str!("fixtures/reach_app_fixture.rs");
 const REACH_UTIL_FIXTURE: &str = include_str!("fixtures/reach_util_fixture.rs");
 
@@ -86,7 +87,7 @@ fn nonblocking_scan_follows_calls_out_of_the_event_loop() {
     );
     let report = run_workspace(&root).expect("run");
 
-    // Three findings — the fs read in `poll`, the denied `route` edge in
+    // Three findings — the fs read in `refresh`, the denied `route` edge in
     // `dispatch`, the pragma'd checkpoint write — of which one is
     // suppressed. The root itself contains no marker: every finding is
     // at least one call edge away from `event_loop`.
@@ -96,9 +97,33 @@ fn nonblocking_scan_follows_calls_out_of_the_event_loop() {
 
     let joined = report.failures.join("\n");
     assert!(joined.contains("filesystem I/O (`fs`)"), "{joined}");
-    assert!(joined.contains("app:event_loop → app:poll"), "{joined}");
+    assert!(joined.contains("app:event_loop → app:refresh"), "{joined}");
     assert!(joined.contains("call into denied entry point `app:route`"), "{joined}");
     assert!(joined.contains("app:event_loop → app:dispatch"), "{joined}");
+}
+
+#[test]
+fn a_readiness_wait_below_the_event_loop_needs_a_pragma() {
+    let config = "[nonblocking]\nroots = [\"app:event_loop\"]\n";
+    let root = workspace(
+        "poll",
+        &[
+            ("Cargo.toml", ROOT_MANIFEST),
+            ("lint.toml", config),
+            ("crates/app/Cargo.toml", APP_MANIFEST),
+            ("crates/app/src/lib.rs", POLL_FIXTURE),
+        ],
+    );
+    let report = run_workspace(&root).expect("run");
+
+    // Two `poll(` calls one edge below the root: the bare one fails, the
+    // one whose pragma states its bound is reported suppressed.
+    let (total, suppressed) = category_findings(&report, Category::Nonblocking);
+    assert_eq!((total, suppressed), (2, 1), "findings: {:?}", report.findings);
+    assert_eq!(report.failures.len(), 1, "failures: {:?}", report.failures);
+    let failure = report.failures.first().expect("one failure");
+    assert!(failure.contains("unbounded wait (`poll`)"), "{failure}");
+    assert!(failure.contains("app:event_loop → app:wait_forever"), "{failure}");
 }
 
 #[test]

@@ -22,6 +22,8 @@
 //! exact update-type classification), which integration tests compare
 //! against the collector's output.
 
+#![forbid(unsafe_code)]
+
 pub mod rng;
 
 mod sim;

@@ -12,6 +12,8 @@
 //!   RoadType, UpdateType, ChangesetID⟩
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod changeset;
 mod element;
 mod ids;

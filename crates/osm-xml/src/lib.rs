@@ -16,6 +16,8 @@
 //! attributes, character data, comments, XML declarations, and the five
 //! predefined entities plus numeric character references.
 
+#![forbid(unsafe_code)]
+
 pub mod xml;
 
 mod coords;

@@ -15,6 +15,8 @@
 //! direct scan over an in-memory `UpdateList`. Tests compare engine output
 //! against it record for record.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod model;
 mod naive;

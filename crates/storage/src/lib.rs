@@ -21,6 +21,8 @@
 //! * [`DiskHashIndex`] — a persistent extendible hash index (the
 //!   warehouse's ChangesetID index, §VI-B).
 
+#![forbid(unsafe_code)]
+
 mod buffer;
 pub mod bytes;
 mod flight;

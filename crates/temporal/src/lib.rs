@@ -16,6 +16,8 @@
 //! * All ranges are **inclusive** of both endpoints, mirroring the SQL
 //!   `BETWEEN date1 AND date2` in the paper's query signature.
 
+#![forbid(unsafe_code)]
+
 mod date;
 mod hierarchy;
 mod period;

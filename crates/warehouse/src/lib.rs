@@ -13,6 +13,8 @@
 //! row-scan DBMS baseline (Fig. 10) scans — both systems see the same
 //! physical data.
 
+#![forbid(unsafe_code)]
+
 mod heap;
 mod warehouse;
 

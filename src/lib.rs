@@ -8,6 +8,8 @@
 //! Start with [`core`] ([`rased_core::Rased`]) for the assembled system, or
 //! see `examples/quickstart.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use rased_core as core;
 pub use rased_dashboard as dashboard;
 pub use rased_osm_gen as gen;

@@ -10,7 +10,7 @@ use rased_core::{CubeSchema, Rased, RasedConfig, ServerConfig};
 use rased_osm_gen::{Dataset, DatasetConfig};
 use rased_temporal::{Date, DateRange};
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -343,4 +343,65 @@ fn shutdown_without_any_connection_is_prompt() {
         started.elapsed()
     );
     assert_eq!(server.metrics().active(), 0);
+}
+
+/// An idle server blocks in its one wait instead of iterating. With one
+/// idle keep-alive connection open, the only pending event is that
+/// connection's read deadline (10 s away), so 300 ms of idleness costs a
+/// handful of waits at most — a loop that slept in fixed quanta would
+/// iterate hundreds of times. The counters are exported at `/api/metrics`.
+#[test]
+fn idle_server_blocks_instead_of_spinning() {
+    let (_dir, system) = demo_system("idle");
+    let ts = TestServer::start(system, test_config());
+    let mut client = HttpClient::connect(ts.addr).unwrap();
+    assert_eq!(client.get("/api/meta").unwrap().status, 200);
+
+    let before = ts.server.metrics().evloop_waits();
+    std::thread::sleep(Duration::from_millis(300));
+    let waits = ts.server.metrics().evloop_waits() - before;
+    assert!(waits <= 5, "idle loop took {waits} waits in 300 ms: it is spinning");
+
+    let r = client.get("/api/metrics").unwrap();
+    assert_eq!(r.status, 200);
+    assert!(r.body.contains("\"evloop\":{\"waits\":"), "{}", r.body);
+    assert!(r.body.contains("\"wait_us\":"), "{}", r.body);
+    assert!(ts.server.metrics().evloop_wait_micros() > 0, "{}", r.body);
+
+    drop(client);
+    ts.stop().unwrap();
+}
+
+/// A client that sends a request and half-closes its side still gets the
+/// full answer, then the server closes the connection. The socket reports
+/// EOF (readable) for the whole render, so a loop that kept watching it
+/// while a worker runs the query would spin; the waits stay bounded, and
+/// once the connection is gone the loop blocks again.
+#[test]
+fn half_closed_client_gets_its_answer_without_spinning_the_loop() {
+    let (_dir, system) = demo_system("halfclose");
+    let ts = TestServer::start(system, test_config());
+    let waits = || ts.server.metrics().evloop_waits();
+
+    let before = waits();
+    let stream = TcpStream::connect(ts.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write!(
+        &stream,
+        "GET /api/analysis?start=2021-01-01&end=2021-01-31&group=country,update HTTP/1.1\r\n\
+         Host: t\r\n\r\n"
+    )
+    .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut all = String::new();
+    BufReader::new(&stream).read_to_string(&mut all).unwrap(); // returns only because the server closed
+    assert!(all.starts_with("HTTP/1.1 200"), "{all}");
+    assert!(all.contains("{\"rows\":["), "{all}");
+    let served = waits() - before;
+    assert!(served <= 10, "{served} waits to serve one half-closed request");
+
+    std::thread::sleep(Duration::from_millis(200));
+    let idle = waits() - before - served;
+    assert!(idle <= 2, "{idle} waits in 200 ms after the connection closed");
+    ts.stop().unwrap();
 }
