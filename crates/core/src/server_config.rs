@@ -1,34 +1,37 @@
 //! [`ServerConfig`] — operational knobs for the dashboard serving tier.
 //!
 //! The paper demos RASED as a *public* dashboard; a public deployment needs
-//! bounded resources and defensive request limits, not an unbounded
-//! thread-per-connection loop. These knobs live in `rased-core` (rather
-//! than the dashboard crate) so they ride along [`crate::RasedConfig`] and
-//! every front end — CLI, tests, embedding applications — shares one
-//! vocabulary.
+//! bounded resources and defensive request limits. These knobs live in
+//! `rased-core` (rather than the dashboard crate) so they ride along
+//! [`crate::RasedConfig`] and every front end — CLI, tests, embedding
+//! applications — shares one vocabulary.
 
 use std::time::Duration;
 
 /// Configuration for the HTTP serving tier.
 ///
 /// All limits are per connection unless noted. The defaults are sized for a
-/// small public deployment: a worker per core, a modest accept queue, and
+/// small public deployment: a worker per core, a modest connection cap, and
 /// request caps far above anything the JSON API legitimately needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads handling connections. `0` means "one per available
-    /// core" (`std::thread::available_parallelism`, minimum 2).
+    /// Worker threads rendering responses that the event loop does not
+    /// answer inline. `0` means "one per available core"
+    /// (`std::thread::available_parallelism`, minimum 2).
     pub workers: usize,
-    /// Accepted connections waiting for a free worker. When the queue is
-    /// full new connections are rejected with `503` + `Retry-After` —
-    /// backpressure instead of unbounded thread spawn.
+    /// Connections open beyond `workers`: at most `workers + queue_depth`
+    /// connections (`queue_depth` counted as at least 1) are open at once,
+    /// and each holds at most one job in flight. Past the cap, new
+    /// connections are rejected with `503` + `Retry-After` — backpressure
+    /// instead of unbounded buffering.
     pub queue_depth: usize,
-    /// Socket read timeout; a connection that stalls mid-request this long
-    /// is answered `408` and closed (slowloris defense). Also bounds how
-    /// long an idle keep-alive connection is retained.
+    /// Event-loop read deadline: a connection that stalls mid-request this
+    /// long since its last received byte is answered `408` and closed
+    /// (slowloris defense); an idle keep-alive connection is closed
+    /// silently after it.
     pub read_timeout: Duration,
-    /// Socket write timeout; a client that stops draining its response this
-    /// long gets its connection dropped.
+    /// Event-loop write deadline: a client that accepts no response bytes
+    /// for this long gets its connection dropped.
     pub write_timeout: Duration,
     /// Maximum request-line length in bytes (`431` beyond).
     pub max_request_line_bytes: usize,
@@ -39,7 +42,8 @@ pub struct ServerConfig {
     /// Requests served over one keep-alive connection before the server
     /// closes it (bounds per-connection state lifetime).
     pub max_keep_alive_requests: usize,
-    /// Value of the `Retry-After` header on `503` queue-full rejections.
+    /// Value of the `Retry-After` header on `503` rejections (connection cap
+    /// reached, or an admission shed).
     pub retry_after_secs: u32,
     /// Admission control: how many *expensive* requests (`/api/analysis`,
     /// `/api/sample`) one client may have in flight at once. Above the cap

@@ -16,12 +16,12 @@
 //!        keep-alive                        timeout, error, or EOF)
 //! ```
 //!
-//! * **Reading** — request bytes accumulate in `inbuf`. A cheap
-//!   completeness scan ([`ready_to_parse`]) decides when a full request
-//!   (or a provable limit violation) is buffered; only then does the
-//!   buffer go through [`read_request`] over a `Cursor`, so parse
-//!   semantics — limits, tolerated stray CRLFs, typed errors — are the
-//!   parser's own, byte for byte.
+//! * **Reading** — request bytes accumulate in `inbuf`, and every step
+//!   first hands the buffer to [`parse_request`]: a complete request is
+//!   dispatched and its bytes drained, a typed error is answered as soon
+//!   as the buffered bytes prove it, and an incomplete buffer (an
+//!   allocation-free verdict) reads more. Framing — limits, tolerated
+//!   stray CRLFs, half-closed clients — is the parser's alone.
 //! * **Executing** — the parsed request rides a bounded bridge to the
 //!   worker pool, which does only real work: routing, cube queries, cold
 //!   renders (coalesced and cached through
@@ -60,7 +60,7 @@
 //! remains — the worker scope joins every thread before `serve` returns.
 
 use crate::admission::Permit;
-use crate::http::{read_request, write_response, Limits, Request};
+use crate::http::{parse_request, write_response, Limits, Request};
 use crate::metrics::Endpoint;
 use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::respcache::{CachedResponse, RespKey};
@@ -96,6 +96,9 @@ struct Conn {
     peer: Option<String>,
     /// Unparsed request bytes (pipelined requests queue here).
     inbuf: Vec<u8>,
+    /// `inbuf` or `eof` changed since the parser last asked for more
+    /// bytes, so parsing again can give a new verdict.
+    fresh: bool,
     /// Response bytes not yet accepted by the socket.
     outbuf: Vec<u8>,
     outpos: usize,
@@ -118,6 +121,7 @@ impl Conn {
             stream,
             peer,
             inbuf: Vec::new(),
+            fresh: false,
             outbuf: Vec::new(),
             outpos: 0,
             state: ConnState::Reading,
@@ -500,18 +504,7 @@ fn check_deadline(server: &DashboardServer, conn: &mut Conn) -> bool {
                 conn.dead = true;
             } else {
                 // Mid-request stall: answer 408 and close.
-                server.metrics.record_request(Endpoint::Other, 408, Duration::ZERO);
-                let _ = write_response(
-                    &mut conn.outbuf,
-                    408,
-                    "text/plain",
-                    b"request timed out",
-                    false,
-                    &[],
-                );
-                conn.inbuf.clear();
-                conn.close_after_write = true;
-                conn.state = ConnState::Writing;
+                answer_and_close(server, conn, 408, b"request timed out");
             }
             true
         }
@@ -525,6 +518,16 @@ fn check_deadline(server: &DashboardServer, conn: &mut Conn) -> bool {
     }
 }
 
+/// Queue a final error answer; the connection closes once it is written.
+/// Framing is unknown after an error, so unparsed bytes are dropped.
+fn answer_and_close(server: &DashboardServer, conn: &mut Conn, status: u16, body: &[u8]) {
+    server.metrics.record_request(Endpoint::Other, status, Duration::ZERO);
+    let _ = write_response(&mut conn.outbuf, status, "text/plain", body, false, &[]);
+    conn.inbuf.clear();
+    conn.close_after_write = true;
+    conn.state = ConnState::Writing;
+}
+
 fn read_step<'a>(
     server: &'a DashboardServer,
     bridge: &Bridge<'a>,
@@ -534,24 +537,28 @@ fn read_step<'a>(
     scratch: &mut [u8],
 ) {
     // Parse before reading more: pipelined requests already buffered must
-    // make progress even when the socket is quiet.
-    if ready_to_parse(&conn.inbuf, limits) || (conn.eof && !conn.inbuf.is_empty()) {
-        parse_and_dispatch(server, bridge, id, conn, limits);
-        return;
-    }
-    if conn.eof {
-        conn.dead = true; // clean EOF with nothing buffered
-        return;
+    // make progress even when the socket is quiet. After a half-close the
+    // verdict is final: `None` then means nothing but a stray blank line.
+    if std::mem::take(&mut conn.fresh) {
+        match parse_request(&conn.inbuf, limits, conn.eof) {
+            Ok(Some((req, consumed))) => {
+                conn.inbuf.drain(..consumed.min(conn.inbuf.len()));
+                conn.fresh = true; // a pipelined request may follow
+                return dispatch(server, bridge, id, conn, req);
+            }
+            Err(e) => return answer_and_close(server, conn, e.status(), e.message().as_bytes()),
+            Ok(None) if conn.eof => {
+                conn.dead = true;
+                return;
+            }
+            Ok(None) => {}
+        }
     }
     match conn.stream.read(scratch) {
-        Ok(0) => {
-            conn.eof = true;
-            if conn.inbuf.is_empty() {
-                conn.dead = true;
-            }
-        }
+        Ok(0) => (conn.eof, conn.fresh) = (true, true),
         Ok(n) => {
             conn.inbuf.extend_from_slice(scratch.get(..n).unwrap_or(&[]));
+            conn.fresh = true;
             conn.last_activity = Instant::now();
         }
         Err(e)
@@ -560,49 +567,6 @@ fn read_step<'a>(
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
             ) => {}
         Err(_) => conn.dead = true,
-    }
-}
-
-/// Run the buffered bytes through the real parser and dispatch the
-/// request. Only called when [`ready_to_parse`] says the parser cannot
-/// come up short (or the client half-closed, which the parser maps to its
-/// mid-request-EOF errors).
-fn parse_and_dispatch<'a>(
-    server: &'a DashboardServer,
-    bridge: &Bridge<'a>,
-    id: usize,
-    conn: &mut Conn,
-    limits: &Limits,
-) {
-    let mut cursor = std::io::Cursor::new(conn.inbuf.as_slice());
-    match read_request(&mut cursor, limits) {
-        Ok(None) => conn.dead = true, // stray trailing CRLF then EOF
-        Ok(Some(req)) => {
-            let consumed = (cursor.position() as usize).min(conn.inbuf.len());
-            conn.inbuf.drain(..consumed);
-            dispatch(server, bridge, id, conn, req);
-        }
-        Err(e) => {
-            // Framing is unknown after a parse error: answer (when
-            // possible) and close.
-            match e.status() {
-                Some(status) => {
-                    server.metrics.record_request(Endpoint::Other, status, Duration::ZERO);
-                    let _ = write_response(
-                        &mut conn.outbuf,
-                        status,
-                        "text/plain",
-                        e.message().as_bytes(),
-                        false,
-                        &[],
-                    );
-                    conn.inbuf.clear();
-                    conn.close_after_write = true;
-                    conn.state = ConnState::Writing;
-                }
-                None => conn.dead = true,
-            }
-        }
     }
 }
 
@@ -755,104 +719,6 @@ fn write_step(conn: &mut Conn) {
     }
 }
 
-/// Decide whether [`read_request`] over the buffered bytes is guaranteed
-/// to produce a verdict (a request or a typed error) rather than running
-/// out of input. Conservative in the safe direction: when unsure, wait
-/// for more bytes — the parser over a `Cursor` maps a premature EOF to
-/// `Malformed`, which would change the answered status, so this must
-/// never fire early. The overflow thresholds are looser than the
-/// parser's own caps for the same reason: by the time this returns `true`
-/// on an unterminated line or header block, the parser provably hits its
-/// cap (431) before it can hit end-of-buffer.
-fn ready_to_parse(buf: &[u8], limits: &Limits) -> bool {
-    // The parser tolerates one stray blank line before the request line.
-    let mut i = 0usize;
-    if buf.starts_with(b"\r\n") {
-        i = 2;
-    } else if buf.starts_with(b"\n") {
-        i = 1;
-    }
-    let rest = buf.get(i..).unwrap_or(&[]);
-    let line_end = match rest.iter().position(|&b| b == b'\n') {
-        Some(j) => i + j + 1,
-        // Unterminated request line: parse once it provably exceeds the
-        // cap (the parser errors after cap + 2 buffered bytes).
-        None => return rest.len() > limits.max_request_line_bytes + 2,
-    };
-    if line_end - i > limits.max_request_line_bytes + 2 {
-        return true; // guaranteed 431 on the request line
-    }
-
-    // Header block: find the terminating empty line.
-    let mut pos = line_end;
-    let header_end = loop {
-        let tail = buf.get(pos..).unwrap_or(&[]);
-        match tail.iter().position(|&b| b == b'\n') {
-            Some(j) => {
-                let line = buf.get(pos..pos + j).unwrap_or(&[]);
-                let is_empty = line.is_empty() || line == b"\r".as_slice();
-                pos += j + 1;
-                if is_empty {
-                    break pos;
-                }
-            }
-            None => {
-                // No terminator yet. The parser consumes at most
-                // `max_header_bytes + 2` of complete lines, so once the
-                // whole unterminated region exceeds the cap by a margin,
-                // the dangling line provably overruns its budget (431).
-                return (pos - line_end) + tail.len() > limits.max_header_bytes + 64;
-            }
-        }
-    };
-
-    // Body framing: mirror the parser's Content-Length handling just far
-    // enough to know how many bytes to wait for. Any framing defect —
-    // non-UTF-8 header, missing colon, bad/conflicting Content-Length,
-    // transfer-encoding — makes the parser error *before* reading a body,
-    // so parsing now is safe and yields the right typed status.
-    let mut declared: Option<u64> = None;
-    let mut p = line_end;
-    while p < header_end {
-        let tail = buf.get(p..header_end).unwrap_or(&[]);
-        let Some(j) = tail.iter().position(|&b| b == b'\n') else { break };
-        let mut line = tail.get(..j).unwrap_or(&[]);
-        if line.ends_with(b"\r") {
-            line = line.get(..line.len() - 1).unwrap_or(&[]);
-        }
-        p += j + 1;
-        if line.is_empty() {
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(line) else {
-            return true; // parser answers 400
-        };
-        let Some((name, value)) = text.split_once(':') else {
-            return true; // parser answers 400
-        };
-        let name = name.trim();
-        if name.eq_ignore_ascii_case("transfer-encoding") {
-            return true; // parser answers 501, before any body read
-        }
-        if name.eq_ignore_ascii_case("content-length") {
-            let Ok(n) = value.trim().parse::<u64>() else {
-                return true; // parser answers 400
-            };
-            match declared {
-                Some(prev) if prev != n => return true, // parser answers 400
-                _ => declared = Some(n),
-            }
-        }
-    }
-    match declared {
-        None => true, // complete: no body
-        // Declared beyond the cap: the parser answers 413 at the
-        // declaration, before reading body bytes.
-        Some(n) if n > limits.max_body_bytes as u64 => true,
-        Some(n) => (buf.len() - header_end) as u64 >= n,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,10 +726,6 @@ mod tests {
     use rased_core::{Rased, RasedConfig, ServerConfig};
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
     use std::sync::Arc;
-
-    fn limits() -> Limits {
-        Limits { max_request_line_bytes: 64, max_header_bytes: 128, max_body_bytes: 16 }
-    }
 
     fn test_server(tag: &str) -> DashboardServer {
         let dir = std::env::temp_dir().join(format!(
@@ -1019,83 +881,5 @@ mod tests {
         // render lands on a new key rather than resurrecting the old one.
         let swept = cache.lookup(&key(west_q));
         assert!(swept.is_none());
-    }
-
-    #[test]
-    fn partial_requests_wait_for_more_bytes() {
-        let l = limits();
-        assert!(!ready_to_parse(b"", &l));
-        assert!(!ready_to_parse(b"GET / HT", &l));
-        assert!(!ready_to_parse(b"GET / HTTP/1.1\r\n", &l));
-        assert!(!ready_to_parse(b"GET / HTTP/1.1\r\nHost: x\r\n", &l));
-        // Declared body not yet buffered.
-        assert!(!ready_to_parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel", &l));
-    }
-
-    #[test]
-    fn complete_requests_are_ready() {
-        let l = limits();
-        assert!(ready_to_parse(b"GET / HTTP/1.1\r\n\r\n", &l));
-        assert!(ready_to_parse(b"\r\nGET / HTTP/1.1\r\n\r\n", &l)); // stray CRLF
-        assert!(ready_to_parse(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", &l));
-        assert!(ready_to_parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", &l));
-    }
-
-    #[test]
-    fn provable_limit_violations_are_ready_and_parse_to_the_right_status() {
-        let l = limits();
-        // Unterminated request line past the cap → ready, parses to 431.
-        let long = vec![b'a'; l.max_request_line_bytes + 16];
-        assert!(ready_to_parse(&long, &l));
-        let err = read_request(&mut std::io::Cursor::new(long), &l).unwrap_err();
-        assert_eq!(err.status(), Some(431));
-
-        // Unterminated header region past the cap → ready, parses to 431.
-        let mut fat = b"GET / HTTP/1.1\r\n".to_vec();
-        fat.extend_from_slice("X-Pad: yyyyyyyyyyyyyyyy\r\n".repeat(20).as_bytes());
-        assert!(ready_to_parse(&fat, &l), "no empty line yet, but provably over cap");
-        let err = read_request(&mut std::io::Cursor::new(fat), &l).unwrap_err();
-        assert_eq!(err.status(), Some(431));
-
-        // Oversized declared body → ready at the header end, parses to 413.
-        let big = b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n".to_vec();
-        assert!(ready_to_parse(&big, &l));
-        let err = read_request(&mut std::io::Cursor::new(big), &l).unwrap_err();
-        assert_eq!(err.status(), Some(413));
-    }
-
-    #[test]
-    fn framing_defects_are_ready_without_a_body() {
-        let l = limits();
-        for bytes in [
-            &b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n"[..],
-            b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n",
-            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-        ] {
-            assert!(ready_to_parse(bytes, &l), "{bytes:?}");
-            assert!(
-                read_request(&mut std::io::Cursor::new(bytes.to_vec()), &l).is_err(),
-                "{bytes:?} must produce a verdict"
-            );
-        }
-    }
-
-    #[test]
-    fn tiny_header_drip_is_not_ready_until_over_cap() {
-        let l = limits();
-        // Under the cap and unterminated: wait.
-        let drip = b"GET / HTTP/1.1\r\nX-a: 1\r\nX-b".to_vec();
-        assert!(!ready_to_parse(&drip, &l));
-        // The same drip grown past the cap margin: ready, and the parser
-        // reaches a verdict (431) rather than end-of-buffer.
-        let mut over = b"GET / HTTP/1.1\r\n".to_vec();
-        while over.len() - 16 <= l.max_header_bytes + 64 {
-            over.extend_from_slice(b"X-padding-header: v\r\n");
-        }
-        over.extend_from_slice(b"X-dangling");
-        assert!(ready_to_parse(&over, &l));
-        let err = read_request(&mut std::io::Cursor::new(over), &l).unwrap_err();
-        assert!(err.status().is_some(), "must be a typed verdict, got {err:?}");
     }
 }

@@ -1,13 +1,12 @@
 //! HTTP/1.1 request parsing with hard limits.
 //!
-//! The serving tier reads requests through [`read_request`], which enforces
-//! the caps in [`Limits`] *while reading* — a hostile client cannot make the
-//! server buffer an unbounded request line, header block, or body. Every
-//! failure mode is a typed [`HttpError`] carrying the status code the
-//! connection handler should answer with; parsing never panics on any byte
-//! sequence (see `tests/http_parser.rs` for the property suite).
-
-use std::io::BufRead;
+//! The event loop hands [`parse_request`] the bytes a connection has sent
+//! so far; it answers with a complete request, "need more", or a typed
+//! [`HttpError`] carrying the status to answer with, enforcing the caps in
+//! [`Limits`] on the buffered bytes — a hostile client cannot make the
+//! server buffer an unbounded request line, header block, or body. Parsing
+//! never panics on any byte sequence (see `tests/http_parser.rs` for the
+//! property suite).
 
 /// HTTP version of a parsed request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,9 +86,9 @@ impl Limits {
     }
 }
 
-/// A request that could not be read. [`HttpError::status`] maps each case
-/// to the response status the handler should send before closing.
-#[derive(Debug)]
+/// A request that cannot be served. [`HttpError::status`] maps each case
+/// to the response status the handler sends before closing.
+#[derive(Debug, PartialEq, Eq)]
 pub enum HttpError {
     /// Syntactically invalid request line, header, or body framing (`400`).
     Malformed(String),
@@ -103,26 +102,17 @@ pub enum HttpError {
     UnsupportedVersion(String),
     /// A framing feature we do not serve, e.g. chunked uploads (`501`).
     NotImplemented(&'static str),
-    /// The socket read timed out. `started` is true when request bytes had
-    /// already arrived (answer `408`); false for an idle keep-alive
-    /// connection expiring (close silently).
-    Timeout { started: bool },
-    /// Any other I/O failure (no response possible).
-    Io(std::io::Error),
 }
 
 impl HttpError {
-    /// The response status for this error, or `None` when the connection
-    /// should be closed without a response.
-    pub fn status(&self) -> Option<u16> {
+    /// The response status for this error.
+    pub fn status(&self) -> u16 {
         match self {
-            HttpError::Malformed(_) => Some(400),
-            HttpError::RequestLineTooLong | HttpError::HeadersTooLarge => Some(431),
-            HttpError::BodyTooLarge { .. } => Some(413),
-            HttpError::UnsupportedVersion(_) => Some(505),
-            HttpError::NotImplemented(_) => Some(501),
-            HttpError::Timeout { started: true } => Some(408),
-            HttpError::Timeout { started: false } | HttpError::Io(_) => None,
+            HttpError::Malformed(_) => 400,
+            HttpError::RequestLineTooLong | HttpError::HeadersTooLarge => 431,
+            HttpError::BodyTooLarge { .. } => 413,
+            HttpError::UnsupportedVersion(_) => 505,
+            HttpError::NotImplemented(_) => 501,
         }
     }
 
@@ -137,8 +127,6 @@ impl HttpError {
             }
             HttpError::UnsupportedVersion(v) => format!("http version not supported: {v}"),
             HttpError::NotImplemented(what) => format!("not implemented: {what}"),
-            HttpError::Timeout { .. } => "request timed out".into(),
-            HttpError::Io(e) => format!("i/o: {e}"),
         }
     }
 }
@@ -147,89 +135,117 @@ fn malformed(msg: impl Into<String>) -> HttpError {
     HttpError::Malformed(msg.into())
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Read one `\n`-terminated line into `out` (terminator stripped, along
-/// with a trailing `\r`), enforcing `cap` on the line length. Returns the
-/// number of raw bytes consumed (0 at EOF). `started` reports whether any
-/// bytes were consumed before a timeout, for 408-vs-idle classification.
-fn read_line_limited<R: BufRead>(
-    r: &mut R,
-    cap: usize,
-    out: &mut Vec<u8>,
-    too_long: fn() -> HttpError,
-    started: bool,
-) -> Result<usize, HttpError> {
-    let mut consumed = 0usize;
-    loop {
-        let buf = match r.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                return Err(HttpError::Timeout { started: started || consumed > 0 })
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        if buf.is_empty() {
-            if consumed == 0 {
-                return Ok(0); // clean EOF before the line
-            }
-            return Err(malformed("connection closed mid-line"));
-        }
-        let (take, done) = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (buf.len(), false),
-        };
-        // Enforce the cap on what we buffer, not on what the client sends:
-        // stop reading as soon as the line provably exceeds it.
-        if out.len() + take > cap + 2 {
-            return Err(too_long());
-        }
-        out.extend_from_slice(&buf[..take]);
-        r.consume(take);
-        consumed += take;
-        if done {
-            while matches!(out.last(), Some(b'\n') | Some(b'\r')) {
-                out.pop();
-            }
-            return Ok(consumed);
-        }
+/// The verdict on a buffer that ends inside a request: wait for more bytes
+/// while the client may still send them, `400` once it has half-closed.
+fn truncated<T>(eof: bool, where_: &str) -> Result<Option<T>, HttpError> {
+    if eof {
+        Err(malformed(format!("connection closed {where_}")))
+    } else {
+        Ok(None)
     }
 }
 
-/// Read and parse one request off `r`.
+/// `line` without the `\r`s before its stripped `\n`.
+fn trim_cr(line: &[u8]) -> &[u8] {
+    let len = line.iter().rposition(|&b| b != b'\r').map_or(0, |i| i + 1);
+    line.get(..len).unwrap_or(&[])
+}
+
+/// The `\n`-terminated line at `buf[pos..]`, stripped, and the position
+/// after it; `cap` bounds the line, plus two bytes for its `\r\n`.
+/// `Ok(None)` at the end of `buf`, or for an unterminated line the client
+/// may still finish.
+fn next_line(
+    buf: &[u8],
+    pos: usize,
+    cap: usize,
+    eof: bool,
+    too_long: HttpError,
+) -> Result<Option<(&[u8], usize)>, HttpError> {
+    let rest = buf.get(pos..).unwrap_or(&[]);
+    let end = find_byte(rest, b'\n');
+    // An unterminated line is over the cap once it cannot fit even if its
+    // terminator came next.
+    if end.map_or(rest.len() + usize::from(!eof), |i| i + 1) > cap + 2 {
+        return Err(too_long);
+    }
+    let Some(end) = end else {
+        return if rest.is_empty() { Ok(None) } else { truncated(eof, "mid-line") };
+    };
+    Ok(Some((trim_cr(rest.get(..end).unwrap_or(&[])), pos + end + 1)))
+}
+
+/// The index of the first `byte` in `s`, eight bytes per step.
+fn find_byte(s: &[u8], byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    let pattern = ONES * u64::from(byte);
+    let free = |w: &&[u8; 8]| {
+        let x = u64::from_ne_bytes(**w) ^ pattern; // a zero byte where `byte` was
+        x.wrapping_sub(ONES) & !x & (ONES << 7) == 0
+    };
+    let start = 8 * s.as_chunks::<8>().0.iter().take_while(free).count();
+    s.get(start..)?.iter().position(|&b| b == byte).map(|i| start + i)
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, HttpError> {
+    std::str::from_utf8(bytes).map_err(|_| malformed("header is not utf-8"))
+}
+
+/// A header line's trimmed name and untrimmed value: `400` unless it is
+/// UTF-8 with a colon after a visible-ASCII name. Decodes only non-ASCII
+/// bytes: each read of a dripping head rechecks every line, and decoding
+/// each as `str` and splitting it with `split_once` doubles that cost.
+fn header_fields(line: &[u8]) -> Result<(&[u8], &[u8]), HttpError> {
+    if !line.is_ascii() {
+        utf8(line)?;
+    }
+    let Some((name, value)) = find_byte(line, b':').and_then(|i| line.split_at_checked(i)) else {
+        let text = String::from_utf8_lossy(line);
+        return Err(malformed(format!("header without colon: `{text}`")));
+    };
+    let mut name = name.trim_ascii();
+    if !name.iter().all(u8::is_ascii_graphic) {
+        // `str::trim` also strips a vertical tab and Unicode spaces.
+        name = utf8(name)?.trim().as_bytes();
+    }
+    if name.is_empty() || !name.iter().all(u8::is_ascii_graphic) {
+        return Err(malformed("bad header name"));
+    }
+    Ok((name, value.get(1..).unwrap_or_default()))
+}
+
+/// Parse one request off the front of `buf`, the bytes received so far;
+/// `eof` says the client has half-closed, so no more will come.
 ///
-/// Returns `Ok(None)` on a clean EOF before any request byte (the client
-/// closed an idle connection). All limit violations and syntax errors are
-/// typed [`HttpError`]s; the caller answers with [`HttpError::status`] and
-/// closes the connection.
-pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Option<Request>, HttpError> {
+/// * `Ok(Some((request, consumed)))` — one complete request, framed by
+///   its first `consumed` bytes (a pipelined successor may follow).
+/// * `Ok(None)` — more bytes are needed. At `eof` this means `buf` holds
+///   nothing but the one tolerated blank line: close silently.
+/// * `Err` — a typed verdict, as soon as the buffered bytes prove it:
+///   every line is checked when its terminator arrives and every cap when
+///   it is crossed, so a bad request line or header name is answered
+///   without waiting for a declared body.
+///
+/// Any prefix of a buffer parses to `Ok(None)` or to the buffer's own
+/// verdict. Deciding `Ok(None)` allocates nothing: a dripping client's
+/// head is rescanned on every read.
+pub fn parse_request(
+    buf: &[u8],
+    limits: &Limits,
+    eof: bool,
+) -> Result<Option<(Request, usize)>, HttpError> {
     // Request line; tolerate at most one stray blank line before it
     // (robust against clients that terminate the previous body with CRLF).
-    let mut line = Vec::new();
-    for _ in 0..2 {
-        line.clear();
-        let n = read_line_limited(
-            r,
-            limits.max_request_line_bytes,
-            &mut line,
-            || HttpError::RequestLineTooLong,
-            false,
-        )?;
-        if n == 0 {
-            return Ok(None);
-        }
-        if !line.is_empty() {
-            break;
-        }
+    let cap = limits.max_request_line_bytes;
+    let mut first = next_line(buf, 0, cap, eof, HttpError::RequestLineTooLong)?;
+    if let Some((&[], end)) = first {
+        first = next_line(buf, end, cap, eof, HttpError::RequestLineTooLong)?;
     }
+    let Some((line, mut pos)) = first else { return Ok(None) };
     if line.is_empty() {
         return Err(malformed("empty request line"));
     }
-    let line = String::from_utf8(std::mem::take(&mut line))
-        .map_err(|_| malformed("request line is not utf-8"))?;
+    let line = std::str::from_utf8(line).map_err(|_| malformed("request line is not utf-8"))?;
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
@@ -248,69 +264,65 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Option<Req
         v => return Err(malformed(format!("bad http version `{v}`"))),
     };
 
-    // Headers, capped cumulatively.
-    let mut headers: Vec<(String, String)> = Vec::new();
-    let mut header_bytes = 0usize;
+    // Headers, capped cumulatively and checked line by line. The framing
+    // verdicts (501 for a transfer-encoding, else Content-Length's) wait
+    // for the end of the block, as a later bad line is answered first.
+    let head = pos;
+    let mut chunked = false;
+    let mut declared: Result<Option<u64>, HttpError> = Ok(None);
     loop {
-        let mut raw = Vec::new();
-        let budget = limits.max_header_bytes.saturating_sub(header_bytes);
-        let n =
-            read_line_limited(r, budget, &mut raw, || HttpError::HeadersTooLarge, true)?;
-        if n == 0 {
-            return Err(malformed("connection closed inside headers"));
-        }
-        header_bytes += n;
+        let budget = limits.max_header_bytes.saturating_sub(pos - head);
+        let Some((raw, end)) = next_line(buf, pos, budget, eof, HttpError::HeadersTooLarge)? else {
+            return truncated(eof, "inside headers");
+        };
+        pos = end;
         if raw.is_empty() {
             break; // end of header block
         }
-        let text = String::from_utf8(raw).map_err(|_| malformed("header is not utf-8"))?;
-        let (name, value) =
-            text.split_once(':').ok_or_else(|| malformed(format!("header without colon: `{text}`")))?;
-        let name = name.trim();
-        if name.is_empty() || !name.bytes().all(|b| b.is_ascii_graphic()) {
-            return Err(malformed("bad header name"));
+        let (k, v) = header_fields(raw)?;
+        chunked |= k.eq_ignore_ascii_case(b"transfer-encoding");
+        if k.eq_ignore_ascii_case(b"content-length") {
+            let v = utf8(v)?.trim();
+            declared = declared.and_then(|prev| match (prev, v.parse::<u64>()) {
+                (_, Err(_)) => Err(malformed(format!("bad content-length `{v}`"))),
+                (Some(p), Ok(n)) if p != n => Err(malformed("conflicting content-length headers")),
+                (_, Ok(n)) => Ok(Some(n)),
+            });
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
-
-    let mut req =
-        Request { method: method.to_string(), target: target.to_string(), version, headers, body: Vec::new() };
-
-    if req.header("transfer-encoding").is_some() {
+    if chunked {
         return Err(HttpError::NotImplemented("transfer-encoding"));
     }
-
-    // Body framing: Content-Length only. Multiple conflicting values → 400.
-    let mut declared: Option<u64> = None;
-    for (k, v) in &req.headers {
-        if k == "content-length" {
-            let n: u64 = v.parse().map_err(|_| malformed(format!("bad content-length `{v}`")))?;
-            match declared {
-                Some(prev) if prev != n => {
-                    return Err(malformed("conflicting content-length headers"))
-                }
-                _ => declared = Some(n),
-            }
-        }
-    }
-    if let Some(n) = declared {
+    let mut body: &[u8] = &[];
+    if let Some(n) = declared? {
         if n > limits.max_body_bytes as u64 {
             return Err(HttpError::BodyTooLarge { declared: n });
         }
-        let mut body = vec![0u8; n as usize];
-        let mut filled = 0usize;
-        while filled < body.len() {
-            match std::io::Read::read(r, &mut body[filled..]) {
-                Ok(0) => return Err(malformed("connection closed mid-body")),
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if is_timeout(&e) => return Err(HttpError::Timeout { started: true }),
-                Err(e) => return Err(HttpError::Io(e)),
-            }
-        }
-        req.body = body;
+        let Some(b) = buf.get(pos..).and_then(|rest| rest.get(..n as usize)) else {
+            return truncated(eof, "mid-body");
+        };
+        (body, pos) = (b, pos + b.len());
     }
-    Ok(Some(req))
+    // The block's lines, up to its blank line, all passed `header_fields`.
+    let headers = buf
+        .get(head..)
+        .unwrap_or(&[])
+        .split(|&b| b == b'\n')
+        .map(trim_cr)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let (k, v) = header_fields(l)?;
+            Ok((utf8(k)?.to_ascii_lowercase(), utf8(v)?.trim().to_string()))
+        })
+        .collect::<Result<_, HttpError>>()?;
+    let req = Request {
+        method: method.to_string(),
+        target: target.to_string(),
+        version,
+        headers,
+        body: body.to_vec(),
+    };
+    Ok(Some((req, pos)))
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -376,10 +388,18 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut Cursor::new(bytes.to_vec()), &Limits::default())
+        parse_request(bytes, &Limits::default(), true).map(|r| r.map(|(req, _)| req))
+    }
+
+    fn limits() -> Limits {
+        Limits { max_request_line_bytes: 64, max_header_bytes: 128, max_body_bytes: 16 }
+    }
+
+    /// The verdict on `bytes` while the connection is still open.
+    fn open(bytes: &[u8], l: &Limits) -> Result<Option<(Request, usize)>, HttpError> {
+        parse_request(bytes, l, false)
     }
 
     #[test]
@@ -430,35 +450,139 @@ mod tests {
             b"GET / WTFP/9.9\r\n\r\n",
         ] {
             let err = parse(bad).expect_err("must reject");
-            assert_eq!(err.status(), Some(400), "{bad:?} → {err:?}");
+            assert_eq!(err.status(), 400, "{bad:?} → {err:?}");
         }
     }
 
     #[test]
     fn caps_map_to_431_and_413() {
-        let limits = Limits { max_request_line_bytes: 64, max_header_bytes: 128, max_body_bytes: 16 };
+        let limits = limits();
         let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(200));
-        let err = read_request(&mut Cursor::new(long_line.into_bytes()), &limits).unwrap_err();
-        assert_eq!(err.status(), Some(431));
+        let err = parse_request(long_line.as_bytes(), &limits, true).unwrap_err();
+        assert_eq!(err.status(), 431);
 
         let fat_headers =
             format!("GET / HTTP/1.1\r\n{}\r\n", "X-Pad: yyyyyyyyyyyyyyyy\r\n".repeat(20));
-        let err = read_request(&mut Cursor::new(fat_headers.into_bytes()), &limits).unwrap_err();
-        assert_eq!(err.status(), Some(431));
+        let err = parse_request(fat_headers.as_bytes(), &limits, true).unwrap_err();
+        assert_eq!(err.status(), 431);
 
-        let err = read_request(
-            &mut Cursor::new(b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n".to_vec()),
-            &limits,
-        )
-        .unwrap_err();
-        assert_eq!(err.status(), Some(413));
+        let err =
+            parse_request(b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n", &limits, true)
+                .unwrap_err();
+        assert_eq!(err.status(), 413);
+
+        // The caps are exact: a 64-byte request line plus CRLF fits, one
+        // byte more does not; likewise 128 header bytes plus CRLF.
+        let at_cap = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(50));
+        assert!(parse_request(at_cap.as_bytes(), &limits, true).unwrap().is_some());
+        let over = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(51));
+        assert_eq!(parse_request(over.as_bytes(), &limits, true).unwrap_err().status(), 431);
+        let at_cap = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "v".repeat(125));
+        assert!(parse_request(at_cap.as_bytes(), &limits, true).unwrap().is_some());
+        let over = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "v".repeat(126));
+        assert_eq!(parse_request(over.as_bytes(), &limits, true).unwrap_err().status(), 431);
     }
 
     #[test]
     fn unsupported_framing_is_typed() {
         let err = parse(b"GET / HTTP/2.0\r\n\r\n").unwrap_err();
-        assert_eq!(err.status(), Some(505));
+        assert_eq!(err.status(), 505);
         let err = parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap_err();
-        assert_eq!(err.status(), Some(501));
+        assert_eq!(err.status(), 501);
+    }
+
+    #[test]
+    fn partial_requests_wait_for_more_bytes() {
+        let l = limits();
+        for partial in [
+            &b""[..],
+            b"\r\n",
+            b"GET / HT",
+            b"GET / HTTP/1.1\r\n",
+            b"GET / HTTP/1.1\r\nHost: x\r\n",
+            // Declared body not yet buffered.
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel",
+        ] {
+            assert_eq!(open(partial, &l), Ok(None), "{partial:?}");
+            // Half-closed: only an empty buffer or the lone blank line is
+            // closed silently; a cut-off request is a 400.
+            let at_eof = parse_request(partial, &l, true);
+            match partial.len() {
+                0 | 2 => assert_eq!(at_eof, Ok(None)),
+                _ => assert_eq!(at_eof.map_err(|e| e.status()), Err(400), "{partial:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn complete_requests_parse_with_their_length() {
+        let l = limits();
+        for whole in [
+            &b"GET / HTTP/1.1\r\n\r\n"[..],
+            b"\r\nGET / HTTP/1.1\r\n\r\n", // stray CRLF
+            b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        ] {
+            let (_, consumed) = open(whole, &l).unwrap().expect("complete");
+            assert_eq!(consumed, whole.len(), "{whole:?}");
+        }
+    }
+
+    #[test]
+    fn provable_limit_violations_need_no_more_bytes() {
+        let l = limits();
+        // Unterminated request line that cannot fit even with its CRLF next.
+        let long = vec![b'a'; l.max_request_line_bytes + 2];
+        assert_eq!(open(&long, &l).unwrap_err(), HttpError::RequestLineTooLong);
+        assert_eq!(open(long.get(..long.len() - 1).unwrap(), &l), Ok(None));
+
+        // Unterminated header region past the cap.
+        let mut fat = b"GET / HTTP/1.1\r\n".to_vec();
+        fat.extend_from_slice("X-Pad: yyyyyyyyyyyyyyyy\r\n".repeat(20).as_bytes());
+        assert_eq!(open(&fat, &l).unwrap_err(), HttpError::HeadersTooLarge);
+
+        // Oversized declared body: 413 at the header end.
+        let big = b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n";
+        assert_eq!(open(big, &l).unwrap_err(), HttpError::BodyTooLarge { declared: 1_000_000 });
+    }
+
+    #[test]
+    fn tiny_header_drip_waits_until_over_cap() {
+        let l = limits();
+        let drip = b"GET / HTTP/1.1\r\nX-a: 1\r\nX-b".to_vec();
+        assert_eq!(open(&drip, &l), Ok(None));
+        // One dangling line, grown until it cannot fit its budget plus a
+        // CRLF: 431 with the connection still open, one byte earlier none.
+        let mut over = b"GET / HTTP/1.1\r\n".to_vec();
+        while over.len() - 16 < l.max_header_bytes + 2 {
+            over.push(b'x');
+        }
+        assert_eq!(open(over.get(..over.len() - 1).unwrap(), &l), Ok(None));
+        assert_eq!(open(&over, &l).unwrap_err(), HttpError::HeadersTooLarge);
+        // Complete lines past the cap, then a dangling one.
+        let mut padded = b"GET / HTTP/1.1\r\n".to_vec();
+        while padded.len() - 16 <= l.max_header_bytes + 64 {
+            padded.extend_from_slice(b"X-padding-header: v\r\n");
+        }
+        padded.extend_from_slice(b"X-dangling");
+        assert_eq!(open(&padded, &l).unwrap_err(), HttpError::HeadersTooLarge);
+    }
+
+    #[test]
+    fn framing_defects_need_no_body() {
+        let l = limits();
+        for (bytes, status) in [
+            (&b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n"[..], 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n", 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n", 400),
+            (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+            // The request line and header names are checked before the
+            // declared body is awaited.
+            (b"GET / HTTP/2.0\r\nContent-Length: 5\r\n\r\n", 505),
+            (b"GARBAGE\r\nContent-Length: 5\r\n\r\n", 400),
+            (b"POST / HTTP/1.1\r\nBad Name: x\r\nContent-Length: 5\r\n\r\n", 400),
+        ] {
+            assert_eq!(open(bytes, &l).map_err(|e| e.status()), Err(status), "{bytes:?}");
+        }
     }
 }

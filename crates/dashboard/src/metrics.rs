@@ -82,9 +82,9 @@ impl Endpoint {
 pub struct ServerMetrics {
     /// Connections accepted off the listener.
     accepted: AtomicU64,
-    /// Connections currently inside a worker (gauge).
+    /// Connections currently open (gauge).
     active: AtomicU64,
-    /// High-watermark of `active` — proves the pool bound held.
+    /// High-watermark of `active` — proves the connection cap held.
     max_active: AtomicU64,
     /// Connections fully handled and closed.
     completed: AtomicU64,
@@ -204,12 +204,12 @@ impl ServerMetrics {
         self.accepted.load(Relaxed)
     }
 
-    /// Connections currently being handled.
+    /// Connections currently open.
     pub fn active(&self) -> u64 {
         self.active.load(Relaxed)
     }
 
-    /// High-watermark of concurrently handled connections.
+    /// High-watermark of concurrently open connections.
     pub fn max_active(&self) -> u64 {
         self.max_active.load(Relaxed)
     }

@@ -288,6 +288,11 @@ mod http_hostile {
                     .into_bytes(),
                 431,
             ),
+            // A declared body is not awaited once the request line or a
+            // header name already settles the verdict.
+            (b"GET / HTTP/2.0\r\nContent-Length: 5\r\n\r\n".to_vec(), 505),
+            (b"GARBAGE\r\nContent-Length: 5\r\n\r\n".to_vec(), 400),
+            (b"POST / HTTP/1.1\r\nBad Name: x\r\nContent-Length: 5\r\n\r\n".to_vec(), 400),
         ];
         for (bytes, want) in cases {
             let stream = TcpStream::connect(ts.addr).unwrap();
@@ -303,9 +308,7 @@ mod http_hostile {
     /// Stalled clients park in the event loop, not on pool threads: with a
     /// single worker, several simultaneous slowloris connections must not
     /// delay a healthy request, and the busy-worker watermark must never
-    /// exceed the pool size. (Under the old thread-per-connection tier each
-    /// stall pinned the only worker for a full read timeout, serializing
-    /// everyone else behind ~1.2 s of reaping.)
+    /// exceed the pool size.
     #[test]
     fn stalled_clients_do_not_pin_workers() {
         let (_dir, system) = empty_system("noworkerpin");
@@ -392,9 +395,9 @@ mod http_hostile {
         assert_eq!(m.completed(), m.accepted(), "parked connections were leaked");
     }
 
-    /// Backpressure: with 1 worker (held by a stalled client) and a queue
-    /// of 1 (occupied), the next connection is rejected 503 + Retry-After
-    /// instead of spawning a thread or queueing unboundedly.
+    /// Backpressure: with 1 worker and a queue depth of 1, at most two
+    /// connections are open at once; the next one is rejected 503 +
+    /// Retry-After instead of queueing unboundedly.
     #[test]
     fn queue_full_gets_503_with_retry_after() {
         let (_dir, system) = empty_system("queuefull");
@@ -413,16 +416,14 @@ mod http_hostile {
             }
         };
 
-        // A: occupies the only worker (stalls inside read_request).
+        // A and B, idle, fill the `workers + queue_depth` connection cap.
+        // The loop accepts in arrival order, so waiting for each accept
+        // makes C the one over the cap.
         let a = TcpStream::connect(ts.addr).unwrap();
         wait_accepted(1);
-        // The worker must have *popped* A off the queue before B arrives,
-        // or B-then-C ordering is not deterministic. Give it a beat.
-        std::thread::sleep(Duration::from_millis(100));
-        // B: fills the queue slot.
         let _b = TcpStream::connect(ts.addr).unwrap();
         wait_accepted(2);
-        // C: queue full → immediate 503.
+        // C: over the cap → immediate 503.
         let c = TcpStream::connect(ts.addr).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut reader = BufReader::new(c.try_clone().unwrap());

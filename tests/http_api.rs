@@ -331,7 +331,7 @@ fn shutdown_without_any_connection_is_prompt() {
         let server = Arc::clone(&server);
         std::thread::spawn(move || server.serve())
     };
-    // Give the acceptor a moment to block in accept(), then stop with NO
+    // Give the event loop a moment to block in poll(2), then stop with NO
     // client connection ever arriving.
     std::thread::sleep(Duration::from_millis(50));
     let started = std::time::Instant::now();
@@ -403,5 +403,38 @@ fn half_closed_client_gets_its_answer_without_spinning_the_loop() {
     std::thread::sleep(Duration::from_millis(200));
     let idle = waits() - before - served;
     assert!(idle <= 2, "{idle} waits in 200 ms after the connection closed");
+    ts.stop().unwrap();
+}
+
+/// A client that half-closes mid-request gets a 400 for the cut-off bytes
+/// (they can never become a request), then the server closes.
+#[test]
+fn half_closed_partial_request_gets_400_and_a_close() {
+    let (_dir, system) = demo_system("halfpartial");
+    let ts = TestServer::start(system, test_config());
+    let stream = TcpStream::connect(ts.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write!(&stream, "GET /api/meta HTTP/1.1\r\nHost: x").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut all = String::new();
+    BufReader::new(&stream).read_to_string(&mut all).unwrap(); // returns only because the server closed
+    assert!(all.starts_with("HTTP/1.1 400"), "{all}");
+    assert!(all.contains("Connection: close"), "{all}");
+    ts.stop().unwrap();
+}
+
+/// A lone blank line before a half-close is the one stray CRLF the parser
+/// tolerates between requests, not a request: closed with no response.
+#[test]
+fn half_closed_blank_line_is_closed_without_a_response() {
+    let (_dir, system) = demo_system("halfblank");
+    let ts = TestServer::start(system, test_config());
+    let stream = TcpStream::connect(ts.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    (&stream).write_all(b"\r\n").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut all = Vec::new();
+    BufReader::new(&stream).read_to_end(&mut all).unwrap(); // returns only because the server closed
+    assert!(all.is_empty(), "{:?}", String::from_utf8_lossy(&all));
     ts.stop().unwrap();
 }

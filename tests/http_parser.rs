@@ -1,10 +1,11 @@
-//! dettest property suite for the HTTP parsing layer (satellite of the
-//! serving-tier PR): `read_request` must be *total* — any byte sequence
-//! yields a clean parse or a typed [`HttpError`], never a panic or an
-//! unbounded buffer — and the URL codec helpers must round-trip exactly.
+//! dettest property suite for the HTTP parsing layer: `parse_request` must
+//! be *total* — any byte sequence yields a clean parse or a typed
+//! [`HttpError`], never a panic or an unbounded buffer — and
+//! *prefix-consistent*, so the event loop can hand it whatever bytes have
+//! arrived; the URL codec helpers must round-trip exactly.
 
 use dettest::{bools, check, det_proptest, just, one_of, option_of, string_from, vec_of, Config, Strategy};
-use rased_dashboard::http::{read_request, HttpError, HttpVersion, Limits};
+use rased_dashboard::http::{parse_request, HttpError, HttpVersion, Limits};
 use rased_dashboard::{form_urlencode, parse_query_string, url_decode};
 
 /// Tight caps so the random generators actually cross them.
@@ -12,16 +13,14 @@ fn small_limits() -> Limits {
     Limits { max_request_line_bytes: 256, max_header_bytes: 1024, max_body_bytes: 128 }
 }
 
-/// The totality invariant: parsing from an in-memory slice either succeeds
-/// with a well-formed [`Request`](rased_dashboard::http::Request) or fails
-/// with an error that maps to a concrete 4xx/5xx status. (Timeout/Io errors
-/// cannot arise from a slice, so `status()` must be `Some`.)
+/// The totality invariant: parsing a slice either succeeds with a
+/// well-formed [`Request`](rased_dashboard::http::Request) or fails with an
+/// error that maps to a concrete 4xx/5xx status.
 fn parse_is_total(bytes: &[u8]) {
     let limits = small_limits();
-    let mut r = bytes;
-    match read_request(&mut r, &limits) {
+    match parse_request(bytes, &limits, true) {
         Ok(None) => {}
-        Ok(Some(req)) => {
+        Ok(Some((req, _))) => {
             assert!(!req.method.is_empty());
             assert!(req.target.starts_with('/') || req.target == "*", "target {:?}", req.target);
             for (k, _) in &req.headers {
@@ -39,9 +38,41 @@ fn parse_is_total(bytes: &[u8]) {
         Err(e) => {
             let status = e.status();
             assert!(
-                matches!(status, Some(400 | 413 | 431 | 501 | 505)),
+                matches!(status, 400 | 413 | 431 | 501 | 505),
                 "slice parse produced an untyped error: {e:?} → {status:?}"
             );
+        }
+    }
+}
+
+/// Caps that request-shaped soup's header blocks and bodies cross, and that
+/// the pinned buffers below sit exactly at.
+fn tiny_limits() -> Limits {
+    Limits { max_request_line_bytes: 64, max_header_bytes: 128, max_body_bytes: 16 }
+}
+
+/// The prefix-consistency invariant the event loop relies on when it parses
+/// whatever bytes have arrived: over any prefix of `bytes`, the parser
+/// either asks for more or already returns the whole buffer's verdict —
+/// the same request and length, or the same error. After a half-close,
+/// only an empty buffer or one blank line is closed without a verdict.
+fn prefixes_agree(bytes: &[u8]) {
+    for limits in [small_limits(), tiny_limits()] {
+        let whole = parse_request(bytes, &limits, false);
+        for k in 0..=bytes.len() {
+            let prefix = bytes.get(..k).unwrap_or_default();
+            let part = parse_request(prefix, &limits, false);
+            assert!(
+                part == Ok(None) || part == whole,
+                "prefix {k} of {bytes:?}: {part:?}, whole buffer: {whole:?}"
+            );
+            if parse_request(prefix, &limits, true) == Ok(None) {
+                let blank = match prefix.split_last() {
+                    None => true,
+                    Some((last, rest)) => *last == b'\n' && rest.iter().all(|&b| b == b'\r'),
+                };
+                assert!(blank, "half-closed {prefix:?} closed without a verdict");
+            }
         }
     }
 }
@@ -101,6 +132,16 @@ det_proptest! {
     }
 
     #[test]
+    fn prefixes_agree_on_byte_soup(bytes in vec_of(0u8..=255u8, 0..400)) {
+        prefixes_agree(&bytes);
+    }
+
+    #[test]
+    fn prefixes_agree_on_request_shaped_soup(bytes in soup_request()) {
+        prefixes_agree(&bytes);
+    }
+
+    #[test]
     fn well_formed_requests_parse_exactly(
         segs in vec_of(string_from("abcdefgh", 1..=6), 0..4),
         pairs in vec_of(
@@ -134,7 +175,15 @@ det_proptest! {
 
         let limits = Limits::default();
         let mut r = bytes.as_slice();
-        let req = read_request(&mut r, &limits).expect("parse").expect("a request");
+        let next_request = |r: &mut &[u8], limits: &Limits| {
+            parse_request(r, limits, true).map(|parsed| {
+                parsed.map(|(req, consumed)| {
+                    *r = r.get(consumed..).unwrap_or_default();
+                    req
+                })
+            })
+        };
+        let req = next_request(&mut r, &limits).expect("parse").expect("a request");
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, target);
         assert_eq!(req.version, HttpVersion::Http11);
@@ -146,7 +195,7 @@ det_proptest! {
         assert_eq!(p, path);
         assert_eq!(parse_query_string(q), pairs, "query round-trip");
 
-        let second = read_request(&mut r, &limits).expect("parse").expect("pipelined");
+        let second = next_request(&mut r, &limits).expect("parse").expect("pipelined");
         assert_eq!(second.target, "/next");
         assert!(r.is_empty(), "bytes left unconsumed");
     }
@@ -176,7 +225,7 @@ det_proptest! {
         let limits = small_limits();
         let declared = limits.max_body_bytes as u64 + extra;
         let s = format!("PUT / HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n");
-        match read_request(&mut s.as_bytes(), &limits) {
+        match parse_request(s.as_bytes(), &limits, true) {
             Err(HttpError::BodyTooLarge { declared: d }) => {
                 assert_eq!(d, declared);
             }
@@ -188,8 +237,8 @@ det_proptest! {
     fn over_long_request_line_is_431(pad in 300usize..=2000) {
         let limits = small_limits();
         let s = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(pad));
-        match read_request(&mut s.as_bytes(), &limits) {
-            Err(e @ HttpError::RequestLineTooLong) => assert_eq!(e.status(), Some(431)),
+        match parse_request(s.as_bytes(), &limits, true) {
+            Err(e @ HttpError::RequestLineTooLong) => assert_eq!(e.status(), 431),
             other => panic!("expected RequestLineTooLong, got {other:?}"),
         }
     }
@@ -202,5 +251,49 @@ det_proptest! {
 #[test]
 fn pinned_seed_replays_one_adversarial_case() {
     let config = Config { replay: Some(0xC0FFEE_D00D), ..Config::default() };
-    check("http_parser_pinned_soup", config, soup_request(), |bytes| parse_is_total(bytes));
+    check("http_parser_pinned_soup", config, soup_request(), |bytes| {
+        parse_is_total(bytes);
+        prefixes_agree(bytes);
+    });
+}
+
+/// Concrete buffers at the edges the event loop meets: partial and
+/// complete requests, request-line and header drips across the 431 caps,
+/// a 413 declaration, and framing defects that must be answered without
+/// waiting for a declared body.
+#[test]
+fn prefixes_agree_on_pinned_buffers() {
+    let mut header_drip = b"GET / HTTP/1.1\r\n".to_vec();
+    while header_drip.len() - 16 <= tiny_limits().max_header_bytes + 64 {
+        header_drip.extend_from_slice(b"X-padding-header: v\r\n");
+    }
+    header_drip.extend_from_slice(b"X-dangling");
+    let buffers: Vec<Vec<u8>> = vec![
+        b"GET / HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+        b"\r\nGET / HTTP/1.1\r\n\r\n".to_vec(),
+        b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
+        b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel".to_vec(),
+        b"GET / HTTP/1.1\r\nX-a: 1\r\nX-b".to_vec(),
+        vec![b'a'; tiny_limits().max_request_line_bytes + 16],
+        format!("GET / HTTP/1.1\r\n{}", "X-Pad: yyyyyyyyyyyyyyyy\r\n".repeat(20)).into_bytes(),
+        header_drip,
+        b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n".to_vec(),
+        b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n".to_vec(),
+        b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n".to_vec(),
+        b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n".to_vec(),
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+        b"GET / HTTP/2.0\r\nContent-Length: 5\r\n\r\n".to_vec(),
+        b"GARBAGE\r\nContent-Length: 5\r\n\r\n".to_vec(),
+        b"POST / HTTP/1.1\r\nBad Name: x\r\nContent-Length: 5\r\n\r\n".to_vec(),
+        // A request line and a header line exactly at the tiny caps (CRLF
+        // included), then one byte over: no prefix of the first two may be
+        // refused early.
+        format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(50)).into_bytes(),
+        format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "v".repeat(125)).into_bytes(),
+        format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(51)).into_bytes(),
+        format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "v".repeat(126)).into_bytes(),
+    ];
+    for bytes in &buffers {
+        prefixes_agree(bytes);
+    }
 }
